@@ -17,7 +17,8 @@
 //! | `serve_reports_total` | counter | — | reports ingested and acknowledged |
 //! | `serve_rejects_total` | counter | `reason` | frames/connections rejected, by [`WireError::label`] |
 //! | `serve_decode_nanos` | histogram | — | batch payload decode time |
-//! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch |
+//! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch (lock wait + count) |
+//! | `serve_lock_wait_nanos` | histogram | — | collector lock wait per batch (the first part of `serve_ingest_nanos`) |
 //!
 //! Journal events: `connection_opened`, `connection_closed`,
 //! `server_drained` (plus the stream layer's own events if the collector
@@ -45,6 +46,7 @@ pub struct ServeObs {
     reports_total: Arc<Counter>,
     decode_nanos: Arc<Histogram>,
     ingest_nanos: Arc<Histogram>,
+    lock_wait_nanos: Arc<Histogram>,
 }
 
 impl ServeObs {
@@ -60,6 +62,7 @@ impl ServeObs {
             reports_total: registry.counter("serve_reports_total"),
             decode_nanos: registry.histogram("serve_decode_nanos"),
             ingest_nanos: registry.histogram("serve_ingest_nanos"),
+            lock_wait_nanos: registry.histogram("serve_lock_wait_nanos"),
             clock,
             registry,
             journal,
@@ -123,10 +126,17 @@ impl ServeObs {
             .inc();
     }
 
-    pub(crate) fn batch_ingested(&self, reports: u64, decode_nanos: u64, ingest_nanos: u64) {
+    pub(crate) fn batch_ingested(
+        &self,
+        reports: u64,
+        decode_nanos: u64,
+        lock_wait_nanos: u64,
+        ingest_nanos: u64,
+    ) {
         self.reports_total.add(reports);
         if self.clock.enabled() {
             self.decode_nanos.record(decode_nanos);
+            self.lock_wait_nanos.record(lock_wait_nanos);
             self.ingest_nanos.record(ingest_nanos);
         }
     }
@@ -144,7 +154,7 @@ mod tests {
         obs.connection_opened(0, 1);
         obs.frame_read(FrameType::Batch, 128);
         obs.frame_written(36);
-        obs.batch_ingested(50, 1_000, 2_000);
+        obs.batch_ingested(50, 1_000, 300, 2_000);
         obs.reject(&WireError::timeout("slowloris"));
         obs.connection_closed(0, 50, 0);
         obs.drained(1, 50);
@@ -166,6 +176,11 @@ mod tests {
             snap.counter_value("serve_rejects_total", &[("reason", "timeout")]),
             Some(1)
         );
+        let sum = |name: &str| snap.histogram_snapshot(name, &[]).map(|h| (h.count, h.sum));
+        assert_eq!(sum("serve_decode_nanos"), Some((1, 1_000)));
+        assert_eq!(sum("serve_lock_wait_nanos"), Some((1, 300)));
+        // The ingest span still covers lock wait + count.
+        assert_eq!(sum("serve_ingest_nanos"), Some((1, 2_000)));
         let kinds: Vec<&str> = obs
             .journal()
             .events()

@@ -267,9 +267,10 @@ impl<'a> Session<'a> {
             };
         let ingest_begin = clock.now_nanos();
         let shard = (header.shard as usize) % shared.config.n_shards;
-        let ingested = {
+        let (locked_at, ingested) = {
             let mut guard = shared.lock_collector();
-            guard.ingest_batch(shard, &self.batch)
+            let locked_at = clock.now_nanos();
+            (locked_at, guard.ingest_batch(shard, &self.batch))
         };
         let ingest_end = clock.now_nanos();
         match ingested {
@@ -285,6 +286,7 @@ impl<'a> Session<'a> {
                     obs.batch_ingested(
                         n,
                         ingest_begin.saturating_sub(decode_begin),
+                        locked_at.saturating_sub(ingest_begin),
                         ingest_end.saturating_sub(ingest_begin),
                     );
                 }

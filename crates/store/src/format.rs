@@ -23,7 +23,6 @@
 
 use crate::error::StoreError;
 use crate::snapshot::{Snapshot, SnapshotHeader};
-use std::sync::OnceLock;
 
 /// The eight magic bytes every snapshot starts with (`MDRRSNAP` in ASCII).
 ///
@@ -44,11 +43,54 @@ pub const FORMAT_VERSION: u32 = 1;
 /// The reflected CRC-64/XZ generator polynomial.
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
+/// The slice-by-8 lookup tables, built at compile time.  Row `k` maps a
+/// byte to the CRC register it leaves after `k` further zero bytes, so
+/// row 0 is the classic bytewise table and one lookup per row folds a
+/// whole 8-byte word.
+const CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
+
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u64;
+        let mut row = 0;
+        while row < 8 {
+            // Shift one more (zero) byte through the register.
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ CRC64_POLY
+                } else {
+                    crc >> 1
+                };
+                bit += 1;
+            }
+            // lint:allow(no-panic-paths, reason = "const-evaluated with row < 8 and byte < 256; an out-of-range index fails the build, it cannot run")
+            tables[row][byte] = crc;
+            row += 1;
+        }
+        byte += 1;
+    }
+    tables
+}
+
+/// One table lookup.
+#[inline(always)]
+fn lookup(row: &[u64; 256], byte: u8) -> u64 {
+    // lint:allow(no-panic-paths, reason = "a u8 index is at most 255 and every row has 256 slots")
+    row[byte as usize]
+}
+
 /// CRC-64/XZ (also known as CRC-64/GO-ECMA): reflected polynomial
 /// `0xC96C5795D7870F42`, initial value `!0`, output
 /// xor `!0`.  This is the checksum at the tail of every snapshot; it is
 /// also exposed so external implementations of the format can test their
 /// own checksummers against this one.
+///
+/// Slice-by-8: each 8-byte little-endian word is XORed into the register
+/// and folded through the eight tables at once; the 0–7 trailing bytes
+/// go through row 0 one at a time.
 ///
 /// ```
 /// // The standard check vector of CRC-64/XZ:
@@ -56,26 +98,22 @@ const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 /// assert_eq!(mdrr_store::crc64(b""), 0);
 /// ```
 pub fn crc64(bytes: &[u8]) -> u64 {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u64; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u64;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 {
-                    (crc >> 1) ^ CRC64_POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
-    });
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC64_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = !0u64;
-    for &b in bytes {
-        // lint:allow(no-panic-paths, reason = "index is masked to 0..256 by the & 0xFF, table has 256 slots")
-        crc = table[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+    for word in words {
+        let [b0, b1, b2, b3, b4, b5, b6, b7] = (u64::from_le_bytes(*word) ^ crc).to_le_bytes();
+        crc = lookup(t7, b0)
+            ^ lookup(t6, b1)
+            ^ lookup(t5, b2)
+            ^ lookup(t4, b3)
+            ^ lookup(t3, b4)
+            ^ lookup(t2, b5)
+            ^ lookup(t1, b6)
+            ^ lookup(t0, b7);
+    }
+    for &b in tail {
+        crc = lookup(t0, crc as u8 ^ b) ^ (crc >> 8);
     }
     !crc
 }

@@ -269,9 +269,20 @@ impl WireClient {
     /// Sends a pre-encoded batch *frame* (from [`wire::encode_frame`]
     /// over [`wire::encode_batch_payload`]), patching its sequence
     /// number in place — the zero-re-encode hot path of the remote
-    /// benchmark.  `reports` must be the batch's report count (it is
-    /// only used for the [`WireClient::acked_reports`] ledger).
+    /// benchmark.  `reports` must equal the report count the frame
+    /// declares (it feeds the [`WireClient::acked_reports`] ledger).
+    ///
+    /// # Errors
+    /// [`wire::set_batch_seq`]'s errors for a buffer that is not exactly
+    /// one batch frame, and [`WireError::Malformed`] when `reports`
+    /// disagrees with the frame — both before anything is sent.
     pub fn send_raw_batch(&mut self, frame: &mut [u8], reports: u64) -> Result<u64, WireError> {
+        let declared = wire::batch_frame_n_reports(frame)?;
+        if declared != reports {
+            return Err(WireError::malformed(format!(
+                "send_raw_batch was told {reports} reports but the frame declares {declared}"
+            )));
+        }
         wire::set_batch_seq(frame, self.next_seq)?;
         self.await_window()?;
         wire::write_raw_frame(&mut self.stream, frame)?;

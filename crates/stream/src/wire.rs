@@ -726,27 +726,24 @@ pub fn decode_batch_payload(
 /// [`encode_batch_payload`]) and recomputes the trailing CRC.  This lets
 /// a sender reuse one encoded frame across many sends — the remote
 /// benchmark's hot path.
+///
+/// The header is validated first, so only a buffer holding exactly one
+/// batch frame is ever re-sealed; the old checksum is not verified.
+///
+/// # Errors
+/// Any [`decode_header`] error; [`WireError::UnexpectedFrame`] for a
+/// frame type other than [`FrameType::Batch`]; [`WireError::Malformed`]
+/// when the declared payload length does not account for exactly the
+/// buffer; [`WireError::Truncated`] when the payload is shorter than a
+/// batch payload header.
 pub fn set_batch_seq(frame: &mut [u8], seq: u64) -> Result<(), WireError> {
-    let available = frame.len().saturating_sub(WIRE_HEADER_LEN);
-    let seq_slot =
-        frame
-            .get_mut(WIRE_HEADER_LEN..WIRE_HEADER_LEN + 8)
-            .ok_or(WireError::Truncated {
-                offset: WIRE_HEADER_LEN,
-                needed: 8,
-                available,
-            })?;
-    for (dst, src) in seq_slot.iter_mut().zip(seq.to_le_bytes().iter()) {
-        *dst = *src;
+    batch_frame_n_reports(frame)?;
+    if let Some(seq_slot) = frame.get_mut(WIRE_HEADER_LEN..WIRE_HEADER_LEN + 8) {
+        for (dst, src) in seq_slot.iter_mut().zip(seq.to_le_bytes().iter()) {
+            *dst = *src;
+        }
     }
-    let body_len = frame
-        .len()
-        .checked_sub(WIRE_TRAILER_LEN)
-        .ok_or(WireError::Truncated {
-            offset: 0,
-            needed: WIRE_TRAILER_LEN,
-            available: frame.len(),
-        })?;
+    let body_len = frame.len().saturating_sub(WIRE_TRAILER_LEN);
     let crc = crc64(frame.get(..body_len).unwrap_or(frame));
     if let Some(trailer) = frame.get_mut(body_len..) {
         for (dst, src) in trailer.iter_mut().zip(crc.to_le_bytes().iter()) {
@@ -754,6 +751,34 @@ pub fn set_batch_seq(frame: &mut [u8], seq: u64) -> Result<(), WireError> {
         }
     }
     Ok(())
+}
+
+/// The report count a complete batch frame declares (its payload's
+/// `n_reports` field), after checking that the header is a valid
+/// [`FrameType::Batch`] header whose declared payload length accounts
+/// for exactly `frame.len()` bytes.  Neither the checksum nor the codes
+/// are verified.
+///
+/// # Errors
+/// As [`set_batch_seq`].
+pub(crate) fn batch_frame_n_reports(frame: &[u8]) -> Result<u64, WireError> {
+    let (frame_type, payload_len) = decode_header(frame)?;
+    if frame_type != FrameType::Batch {
+        return Err(WireError::unexpected(
+            "re-sealing a batch frame",
+            frame_type,
+        ));
+    }
+    if frame.len() != frame_len(payload_len) {
+        return Err(WireError::malformed(format!(
+            "frame declares {payload_len} payload bytes ({} in all) but the buffer holds {}",
+            frame_len(payload_len),
+            frame.len()
+        )));
+    }
+    let mut cur = Cursor::new(frame_payload(frame));
+    cur.take(BATCH_PAYLOAD_HEADER_LEN - 4)?;
+    Ok(cur.take_u32()? as u64)
 }
 
 /// Encodes a [`FrameType::BatchAck`] payload: `seq`, then the server's
@@ -1009,6 +1034,79 @@ mod tests {
         let header = decode_batch_payload(decoded, &mut out).unwrap();
         assert_eq!(header, BatchHeader { seq: 99, shard: 5 });
         assert_eq!(out, batch);
+    }
+
+    /// A valid batch frame over [`sample_batch`] (2 reports).
+    fn sample_batch_frame() -> Vec<u8> {
+        let payload = encode_batch_payload(0, 5, &sample_batch()).unwrap();
+        encode_frame(FrameType::Batch, &payload).unwrap()
+    }
+
+    #[test]
+    fn batch_frame_n_reports_reads_the_declared_count() {
+        assert_eq!(batch_frame_n_reports(&sample_batch_frame()).unwrap(), 2);
+    }
+
+    #[test]
+    fn set_batch_seq_refuses_a_non_batch_frame() {
+        let mut frame = encode_frame(FrameType::Hello, &[0u8; 40]).unwrap();
+        let before = frame.clone();
+        assert!(matches!(
+            set_batch_seq(&mut frame, 99),
+            Err(WireError::UnexpectedFrame { found: "hello", .. })
+        ));
+        assert_eq!(frame, before);
+    }
+
+    #[test]
+    fn set_batch_seq_refuses_a_buffer_longer_than_its_frame() {
+        let mut frame = sample_batch_frame();
+        frame.push(0);
+        let before = frame.clone();
+        assert!(matches!(
+            set_batch_seq(&mut frame, 99),
+            Err(WireError::Malformed { .. })
+        ));
+        assert_eq!(frame, before);
+    }
+
+    #[test]
+    fn set_batch_seq_refuses_a_buffer_shorter_than_its_frame() {
+        let mut frame = sample_batch_frame();
+        frame.pop();
+        let before = frame.clone();
+        assert!(matches!(
+            set_batch_seq(&mut frame, 99),
+            Err(WireError::Malformed { .. })
+        ));
+        assert_eq!(frame, before);
+    }
+
+    #[test]
+    fn set_batch_seq_refuses_a_payload_without_a_batch_header() {
+        let mut frame = encode_frame(FrameType::Batch, &[0u8; 12]).unwrap();
+        let before = frame.clone();
+        assert!(matches!(
+            set_batch_seq(&mut frame, 99),
+            Err(WireError::Truncated { .. })
+        ));
+        assert_eq!(frame, before);
+    }
+
+    #[test]
+    fn set_batch_seq_refuses_a_corrupt_header() {
+        let mut frame = sample_batch_frame();
+        frame[0] = b'X';
+        assert!(matches!(
+            set_batch_seq(&mut frame, 99),
+            Err(WireError::BadMagic { .. })
+        ));
+        let mut short = sample_batch_frame();
+        short.truncate(WIRE_HEADER_LEN - 1);
+        assert!(matches!(
+            set_batch_seq(&mut short, 99),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]
