@@ -16,9 +16,10 @@
 //! | `serve_bytes_written_total` | counter | — | frame bytes written |
 //! | `serve_reports_total` | counter | — | reports ingested and acknowledged |
 //! | `serve_rejects_total` | counter | `reason` | frames/connections rejected, by [`WireError::label`] |
-//! | `serve_decode_nanos` | histogram | — | batch payload decode time |
-//! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch (lock wait + count) |
+//! | `serve_decode_nanos` | histogram | — | batch header and shape parse, no copy |
+//! | `serve_ingest_nanos` | histogram | — | collector ingest time per batch (lock wait + count, including the range pass) |
 //! | `serve_lock_wait_nanos` | histogram | — | collector lock wait per batch (the first part of `serve_ingest_nanos`) |
+//! | `serve_ack_write_nanos` | histogram | — | `batch_ack` frame write per batch, after the count |
 //!
 //! Journal events: `connection_opened`, `connection_closed`,
 //! `server_drained` (plus the stream layer's own events if the collector
@@ -47,6 +48,7 @@ pub struct ServeObs {
     decode_nanos: Arc<Histogram>,
     ingest_nanos: Arc<Histogram>,
     lock_wait_nanos: Arc<Histogram>,
+    ack_write_nanos: Arc<Histogram>,
 }
 
 impl ServeObs {
@@ -63,6 +65,7 @@ impl ServeObs {
             decode_nanos: registry.histogram("serve_decode_nanos"),
             ingest_nanos: registry.histogram("serve_ingest_nanos"),
             lock_wait_nanos: registry.histogram("serve_lock_wait_nanos"),
+            ack_write_nanos: registry.histogram("serve_ack_write_nanos"),
             clock,
             registry,
             journal,
@@ -140,6 +143,12 @@ impl ServeObs {
             self.ingest_nanos.record(ingest_nanos);
         }
     }
+
+    pub(crate) fn ack_written(&self, ack_write_nanos: u64) {
+        if self.clock.enabled() {
+            self.ack_write_nanos.record(ack_write_nanos);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +164,7 @@ mod tests {
         obs.frame_read(FrameType::Batch, 128);
         obs.frame_written(36);
         obs.batch_ingested(50, 1_000, 300, 2_000);
+        obs.ack_written(700);
         obs.reject(&WireError::timeout("slowloris"));
         obs.connection_closed(0, 50, 0);
         obs.drained(1, 50);
@@ -181,6 +191,7 @@ mod tests {
         assert_eq!(sum("serve_lock_wait_nanos"), Some((1, 300)));
         // The ingest span still covers lock wait + count.
         assert_eq!(sum("serve_ingest_nanos"), Some((1, 2_000)));
+        assert_eq!(sum("serve_ack_write_nanos"), Some((1, 700)));
         let kinds: Vec<&str> = obs
             .journal()
             .events()

@@ -37,6 +37,9 @@ use std::thread::JoinHandle;
 /// State shared by the acceptor, every session thread and the handle.
 pub(crate) struct Shared {
     pub(crate) collector: Mutex<ShardedCollector>,
+    /// The protocol's channel count, fixed at bind: the shape every batch
+    /// payload is parsed against.
+    pub(crate) n_channels: usize,
     pub(crate) schema: Schema,
     pub(crate) spec: ProtocolSpec,
     pub(crate) config: ServeConfig,
@@ -52,7 +55,7 @@ pub(crate) struct Shared {
 impl Shared {
     /// Locks the collector, recovering from a poisoned mutex: the counts
     /// are plain sums, structurally valid even if a session thread
-    /// panicked mid-ingest (and `ingest_batch` validates before it
+    /// panicked mid-ingest (and `ingest_wire` validates before it
     /// counts, so a poisoned guard holds either the old or the new
     /// totals — never a half-applied batch).
     pub(crate) fn lock_collector(&self) -> MutexGuard<'_, ShardedCollector> {
@@ -137,6 +140,7 @@ impl CollectorServer {
     ) -> Result<CollectorServer, ServeError> {
         let config = config.validated()?;
         let protocol = spec.build_arc(schema)?;
+        let n_channels = protocol.channel_sizes().len();
         let collector = ShardedCollector::new(protocol, config.n_shards)?;
         let listener = TcpListener::bind(addr).map_err(|e| ServeError::io("bind listener", e))?;
         listener
@@ -147,6 +151,7 @@ impl CollectorServer {
             .map_err(|e| ServeError::io("read bound address", e))?;
         let shared = Arc::new(Shared {
             collector: Mutex::new(collector),
+            n_channels,
             schema: schema.clone(),
             spec: spec.clone(),
             config,

@@ -13,19 +13,20 @@
 //!   metered reject — never a panic;
 //! * payload buffers are sized only after the declared length passes the
 //!   cap check inside `wire::decode_header` (cap-before-alloc), and the
-//!   session's read buffer and decode batch are reused across frames;
+//!   session's read buffer is reused across frames, and batch codes are
+//!   counted straight out of it;
 //! * a frame whose first byte arrived must finish within
 //!   `frame_budget_nanos` or the connection is closed with a `timeout`
 //!   error frame — the slowloris defence — while an *idle* connection
 //!   (no partial frame) may wait indefinitely;
-//! * a batch is acknowledged only after `ingest_batch` returns, so an
+//! * a batch is acknowledged only after `ingest_wire` returns, so an
 //!   acked report is by construction in the collector that a drain
 //!   hands back.
 
 use crate::server::Shared;
 use mdrr_store::Snapshot;
-use mdrr_stream::wire::{self, error_code, Hello, HelloAck, StatsReply};
-use mdrr_stream::{FrameType, ReportBatch, WireError};
+use mdrr_stream::wire::{self, error_code, BatchView, Hello, HelloAck, StatsReply};
+use mdrr_stream::{FrameType, WireError};
 use serde::Serialize;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -60,8 +61,6 @@ struct Session<'a> {
     /// Reusable frame buffer; grows to the largest frame seen, never
     /// beyond the payload cap plus framing.
     buf: Vec<u8>,
-    /// Reusable decode target shaped for the server's protocol.
-    batch: ReportBatch,
     /// Reports acknowledged over this connection.
     acked: u64,
 }
@@ -87,15 +86,10 @@ impl<'a> Session<'a> {
         stream
             .set_write_timeout(Some(Duration::from_nanos(shared.config.frame_budget_nanos)))
             .map_err(|e| WireError::io("set write timeout", e))?;
-        let batch = {
-            let guard = shared.lock_collector();
-            ReportBatch::for_protocol(guard.protocol().as_ref())
-        };
         Ok(Session {
             shared,
             stream,
             buf: Vec::new(),
-            batch,
             acked: 0,
         })
     }
@@ -252,25 +246,25 @@ impl<'a> Session<'a> {
         let shared = self.shared;
         let clock = &shared.clock;
         let decode_begin = clock.now_nanos();
-        let header =
-            match wire::decode_batch_payload(wire::frame_payload(&self.buf), &mut self.batch) {
-                Ok(header) => header,
-                Err(e) => {
-                    let code = match &e {
-                        WireError::SpecMismatch { .. } => error_code::SPEC_MISMATCH,
-                        _ => error_code::MALFORMED,
-                    };
-                    self.reject(&e);
-                    self.send_error(code, &e.to_string());
-                    return false;
-                }
-            };
+        let view = match BatchView::parse(wire::frame_payload(&self.buf), shared.n_channels) {
+            Ok(view) => view,
+            Err(e) => {
+                let code = match &e {
+                    WireError::SpecMismatch { .. } => error_code::SPEC_MISMATCH,
+                    _ => error_code::MALFORMED,
+                };
+                self.reject(&e);
+                self.send_error(code, &e.to_string());
+                return false;
+            }
+        };
         let ingest_begin = clock.now_nanos();
+        let header = view.header();
         let shard = (header.shard as usize) % shared.config.n_shards;
         let (locked_at, ingested) = {
             let mut guard = shared.lock_collector();
             let locked_at = clock.now_nanos();
-            (locked_at, guard.ingest_batch(shard, &self.batch))
+            (locked_at, guard.ingest_wire(shard, &view))
         };
         let ingest_end = clock.now_nanos();
         match ingested {
@@ -290,10 +284,15 @@ impl<'a> Session<'a> {
                         ingest_end.saturating_sub(ingest_begin),
                     );
                 }
-                self.send_payload(
+                let write_begin = clock.now_nanos();
+                let sent = self.send_payload(
                     FrameType::BatchAck,
                     &wire::encode_batch_ack(header.seq, total),
-                )
+                );
+                if let Some(obs) = &shared.obs {
+                    obs.ack_written(clock.now_nanos().saturating_sub(write_begin));
+                }
+                sent
             }
             Err(e) => {
                 let e = WireError::Protocol(e);

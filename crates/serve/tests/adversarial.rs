@@ -14,7 +14,8 @@
 //!    error, and an oversized declared length is rejected before any
 //!    buffer is sized from it;
 //! 4. a live server answers hostile bytes with typed `error` frames and
-//!    keeps serving well-formed clients afterwards.
+//!    keeps serving well-formed clients afterwards, and a batch with one
+//!    bad code anywhere is refused whole.
 
 mod common;
 
@@ -26,7 +27,8 @@ use mdrr_stream::wire::{
     WIRE_HEADER_LEN,
 };
 use mdrr_stream::{
-    ClientConfig, FrameType, ReportBatch, WireClient, WireError, MAX_WIRE_PAYLOAD, WIRE_MAGIC,
+    Accumulator, ClientConfig, FrameType, ReportBatch, WireClient, WireError, MAX_WIRE_PAYLOAD,
+    WIRE_MAGIC,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -321,6 +323,60 @@ fn server_survives_garbage_and_keeps_serving() {
 
     let drained = server.drain().unwrap();
     assert_eq!(drained.acked_reports, 20);
+}
+
+/// Claim 4c: the range check covers every channel before anything is
+/// counted.  A batch whose only bad code is the very last one — last
+/// channel, last report — is refused whole, and the collector then holds
+/// exactly the next good client's batch, cell for cell.
+#[test]
+fn a_bad_last_code_refuses_the_whole_batch() {
+    let schema = common::schema();
+    let spec = ProtocolSpec::independent(RandomizationLevel::KeepProbability(0.7));
+    let (server, _obs) = common::start_server(&schema, &spec, ServeConfig::default());
+    let addr = server.local_addr();
+    let channel_sizes = spec.build_arc(&schema).unwrap().channel_sizes();
+    let connect = || {
+        WireClient::connect(
+            addr,
+            schema.clone(),
+            spec.clone(),
+            ClientConfig::default(),
+            Arc::new(MonotonicClock::new()),
+        )
+        .unwrap()
+    };
+
+    // 37 reports, all codes in range but the last: every earlier channel
+    // passes the check and would be counted by a check-as-you-go loop.
+    let mut hostile = common::deterministic_batch(&channel_sizes, 3, 37);
+    let last_size = *channel_sizes.last().unwrap();
+    let last_code = hostile
+        .channels_mut()
+        .last_mut()
+        .and_then(|channel| channel.last_mut())
+        .unwrap();
+    *last_code = last_size as u32; // one past the last category
+    let mut client = connect();
+    client.send_batch(0, &hostile).unwrap();
+    match client.flush() {
+        Err(WireError::Remote { code, .. }) => assert_eq!(code, error_code::MALFORMED),
+        other => panic!("expected a remote refusal of the bad last code, got {other:?}"),
+    }
+
+    let good_batch = common::deterministic_batch(&channel_sizes, 4, 29);
+    let mut good = connect();
+    good.send_batch(0, &good_batch).unwrap();
+    good.flush().unwrap();
+    assert_eq!(good.close().unwrap(), 29);
+
+    let drained = server.drain().unwrap();
+    assert_eq!(drained.acked_reports, 29);
+    let mut expected = Accumulator::new(&channel_sizes).unwrap();
+    expected.ingest_batch(&good_batch).unwrap();
+    let merged = drained.collector.merged().unwrap();
+    assert_eq!(merged.n_reports(), 29);
+    assert_eq!(merged.counts(), expected.counts());
 }
 
 /// Claim 4b: a frame whose *header* declares an oversized payload is cut

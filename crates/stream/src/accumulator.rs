@@ -12,7 +12,36 @@
 use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use crate::report::Report;
+use crate::wire::BatchView;
 use serde::{Deserialize, Serialize};
+
+/// Largest channel domain the batch kernel counts through interleaved
+/// stack banks (four banks of this width fit comfortably on the stack and
+/// zero quickly); larger channels are counted in place.  A power of two,
+/// so a masked code indexes a bank without a bounds check.
+const COUNT_BANK_WIDTH: usize = 64;
+const _: () = assert!(COUNT_BANK_WIDTH.is_power_of_two());
+
+/// One code of a batch column as the counting kernel reads it: a native
+/// `u32` from a [`ReportBatch`], or the four little-endian bytes of one
+/// straight from a wire payload.
+trait CodeWord: Copy {
+    fn code(self) -> u32;
+}
+
+impl CodeWord for u32 {
+    #[inline(always)]
+    fn code(self) -> u32 {
+        self
+    }
+}
+
+impl CodeWord for [u8; 4] {
+    #[inline(always)]
+    fn code(self) -> u32 {
+        u32::from_le_bytes(self)
+    }
+}
 
 /// Per-channel count vectors over the randomized codes of the ingested
 /// reports, plus the number of reports.  The unit of parallelism of the
@@ -101,11 +130,10 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Ingests a whole columnar [`ReportBatch`]: one tight counting loop
-    /// per channel, with a single shape/range validation pass per batch
-    /// (one arity check, one length check and one max-code scan per
-    /// channel) instead of one per report.  Counting `n` reports this way
-    /// is equivalent to `n` [`Accumulator::ingest`] calls on the same
+    /// Ingests a whole columnar [`ReportBatch`]: one vectorizable range
+    /// pass over every channel, then one tight counting loop per channel —
+    /// the kernel the daemon's wire path shares.  Counting `n` reports this
+    /// way is equivalent to `n` [`Accumulator::ingest`] calls on the same
     /// codes, at a fraction of the cost.
     ///
     /// # Errors
@@ -114,37 +142,66 @@ impl Accumulator {
     /// ragged, or a code is out of its channel's range; the accumulator is
     /// unchanged on error.
     pub fn ingest_batch(&mut self, batch: &ReportBatch) -> Result<(), MdrrError> {
-        let channels = batch.channels();
-        if channels.len() != self.counts.len() {
+        self.count_columns(
+            batch.channels().iter().map(Vec::as_slice),
+            batch.n_reports(),
+        )
+    }
+
+    /// Ingests a shape-checked wire batch straight from its little-endian
+    /// payload bytes — the same kernel and the same all-or-nothing
+    /// contract as [`Accumulator::ingest_batch`], without decoding the
+    /// codes into a [`ReportBatch`] first.
+    pub(crate) fn ingest_wire(&mut self, view: &BatchView<'_>) -> Result<(), MdrrError> {
+        self.count_columns(view.columns(), view.n_reports())
+    }
+
+    /// The one batch-counting kernel, generic over where the codes live.
+    /// It validates first — the channel count, every column's length and
+    /// every column's largest code — and mutates nothing until every
+    /// channel has passed, so a batch is counted whole or not at all.  The
+    /// range check is a `fold`, not `Iterator::max`, because the fold
+    /// vectorizes.  Channels of at most [`COUNT_BANK_WIDTH`] categories
+    /// are then counted through interleaved stack banks
+    /// ([`count_banked`]); larger ones (RR-Joint's product domains) in
+    /// place.
+    fn count_columns<'c, W, I>(&mut self, columns: I, n: usize) -> Result<(), MdrrError>
+    where
+        W: CodeWord + 'c,
+        I: ExactSizeIterator<Item = &'c [W]> + Clone,
+    {
+        if columns.len() != self.counts.len() {
             return Err(MdrrError::config(format!(
                 "batch has {} channels but the accumulator has {}",
-                channels.len(),
+                columns.len(),
                 self.counts.len()
             )));
         }
-        let n = batch.n_reports();
-        for (k, (codes, channel)) in channels.iter().zip(self.counts.iter()).enumerate() {
+        for (k, (codes, channel)) in columns.clone().zip(self.counts.iter()).enumerate() {
             if codes.len() != n {
                 return Err(MdrrError::config(format!(
                     "batch channel {k} holds {} codes but channel 0 holds {n}",
                     codes.len()
                 )));
             }
-            if let Some(&max) = codes.iter().max() {
-                if max as usize >= channel.len() {
-                    return Err(MdrrError::config(format!(
-                        "code {max} out of range for channel {k} ({} categories)",
-                        channel.len()
-                    )));
-                }
+            let max = codes.iter().fold(0, |max, &word| max.max(word.code()));
+            if !codes.is_empty() && max as usize >= channel.len() {
+                return Err(MdrrError::config(format!(
+                    "code {max} out of range for channel {k} ({} categories)",
+                    channel.len()
+                )));
             }
         }
         // Validated above: every code is in range, so the counting loops
         // run branch-predictably start to finish.
         // lint:region(no_alloc)
-        for (codes, channel) in channels.iter().zip(self.counts.iter_mut()) {
-            for &code in codes {
-                channel[code as usize] += 1;
+        for (codes, channel) in columns.zip(self.counts.iter_mut()) {
+            if channel.len() <= COUNT_BANK_WIDTH {
+                count_banked(codes, channel);
+            } else {
+                for &word in codes {
+                    channel[word.code() as usize] += 1;
+                }
             }
         }
         // lint:endregion(no_alloc)
@@ -235,6 +292,30 @@ impl Accumulator {
     /// The domain size of each channel, in channel order.
     pub fn channel_sizes(&self) -> Vec<usize> {
         self.counts.iter().map(Vec::len).collect()
+    }
+}
+
+/// Counts one validated column — every code below `channel.len()`, which
+/// is at most [`COUNT_BANK_WIDTH`] — through four interleaved stack banks:
+/// consecutive codes never increment the same slot, so the
+/// store-forwarding chains that serialize counting on low-cardinality
+/// channels (where most codes hit the same one or two categories) are
+/// broken.
+fn count_banked<W: CodeWord>(codes: &[W], channel: &mut [u64]) {
+    let mut banks = [[0u64; COUNT_BANK_WIDTH]; 4];
+    let (quads, tail) = codes.as_chunks::<4>();
+    for quad in quads {
+        for (bank, &word) in banks.iter_mut().zip(quad) {
+            bank[word.code() as usize & (COUNT_BANK_WIDTH - 1)] += 1;
+        }
+    }
+    for (bank, &word) in banks.iter_mut().zip(tail) {
+        bank[word.code() as usize & (COUNT_BANK_WIDTH - 1)] += 1;
+    }
+    for bank in &banks {
+        for (slot, &count) in channel.iter_mut().zip(bank) {
+            *slot += count;
+        }
     }
 }
 

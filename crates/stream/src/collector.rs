@@ -19,6 +19,7 @@ use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use crate::instrument::{StreamObs, WorkerObs};
 use crate::report::Report;
+use crate::wire::BatchView;
 use mdrr_data::{RecordsBuffer, RecordsView};
 use mdrr_obs::EventKind;
 use mdrr_protocols::{Protocol, Release};
@@ -326,8 +327,36 @@ impl ShardedCollector {
     ///
     /// # Errors
     /// Returns [`MdrrError::InvalidConfiguration`] for a bad shard index
-    /// or a batch that does not match the protocol's channels.
+    /// or a batch that does not match the protocol's channels, and
+    /// [`MdrrError::ShardFailed`] for a quarantined shard; nothing is
+    /// counted on error.
     pub fn ingest_batch(&mut self, shard: usize, batch: &ReportBatch) -> Result<u64, MdrrError> {
+        self.ingest_routed(shard, batch.n_reports(), |acc| acc.ingest_batch(batch))
+    }
+
+    /// Ingests a shape-checked wire batch into a specific shard, counting
+    /// its codes straight from the little-endian payload bytes — the
+    /// daemon's path, with no intermediate [`ReportBatch`].  Same kernel,
+    /// bookkeeping and contract as [`ShardedCollector::ingest_batch`].
+    ///
+    /// # Errors
+    /// As [`ShardedCollector::ingest_batch`]: in particular a code out of
+    /// its channel's range anywhere in the batch leaves the shard
+    /// untouched.
+    pub fn ingest_wire(&mut self, shard: usize, view: &BatchView<'_>) -> Result<u64, MdrrError> {
+        self.ingest_routed(shard, view.n_reports(), |acc| acc.ingest_wire(view))
+    }
+
+    /// The shared bookkeeping of the routed batch paths: refuse a
+    /// quarantined or out-of-range shard, run `count` on the shard's
+    /// accumulator, and meter the batch as one worker chunk of `n`
+    /// reports.
+    fn ingest_routed(
+        &mut self,
+        shard: usize,
+        n: usize,
+        count: impl FnOnce(&mut Accumulator) -> Result<(), MdrrError>,
+    ) -> Result<u64, MdrrError> {
         let n_shards = self.shards.len();
         if self.is_quarantined(shard) {
             return Err(MdrrError::shard_failed(
@@ -337,18 +366,15 @@ impl ShardedCollector {
         }
         let worker = WorkerObs::for_shard(self.obs.as_deref(), shard);
         let start = worker.chunk_start();
-        self.shards
-            .get_mut(shard)
-            .ok_or_else(|| {
-                MdrrError::config(format!(
-                    "shard index {shard} out of range ({n_shards} shards)"
-                ))
-            })?
-            .ingest_batch(batch)?;
-        let n = batch.n_reports() as u64;
+        let accumulator = self.shards.get_mut(shard).ok_or_else(|| {
+            MdrrError::config(format!(
+                "shard index {shard} out of range ({n_shards} shards)"
+            ))
+        })?;
+        count(accumulator)?;
         worker.chunk_done(start);
-        worker.run_done(n);
-        Ok(n)
+        worker.run_done(n as u64);
+        Ok(n as u64)
     }
 
     /// Simulates `records.n_records()` clients from a zero-copy columnar
@@ -589,99 +615,6 @@ impl ShardedCollector {
         Ok(records.len() as u64)
     }
 
-    /// Simulates generated clients without materializing their records:
-    /// worker `k` draws `clients_per_shard[k]` records from `generator`
-    /// with its own deterministic RNG into a reused columnar buffer,
-    /// batch-encodes and bulk-counts them in [`ENCODE_BATCH`]-sized
-    /// chunks.  This is the million-client path of the `stream_sim`
-    /// driver.  Workers are only spawned for shards with a non-zero client
-    /// count; the shard → RNG mapping is unaffected.
-    ///
-    /// Within a chunk the generator draws run before the encoding draws
-    /// (generate the chunk, then encode it), both on the shard's RNG.
-    ///
-    /// Returns the number of reports ingested.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_view`]; additionally
-    /// rejects a `clients_per_shard` whose length differs from the shard
-    /// count.
-    pub fn ingest_generated<G>(
-        &mut self,
-        clients_per_shard: &[usize],
-        base_seed: u64,
-        generator: G,
-    ) -> Result<u64, MdrrError>
-    where
-        G: Fn(&mut StdRng) -> Vec<u32> + Sync,
-    {
-        if clients_per_shard.len() != self.shards.len() {
-            return Err(MdrrError::config(format!(
-                "{} per-shard client counts for {} shards",
-                clients_per_shard.len(),
-                self.shards.len()
-            )));
-        }
-        if let Some(k) = clients_per_shard
-            .iter()
-            .enumerate()
-            .find_map(|(k, &clients)| (clients > 0 && self.is_quarantined(k)).then_some(k))
-        {
-            return Err(MdrrError::shard_failed(
-                k,
-                "shard is quarantined; rehabilitate it before assigning clients to it".to_string(),
-            ));
-        }
-        let arity = self.protocol.schema().len();
-        let channel_sizes = self.protocol.channel_sizes();
-        let channel_sizes = &channel_sizes;
-        let protocol: &dyn Protocol = &*self.protocol;
-        let generator = &generator;
-        let obs = self.obs.as_deref();
-        let (results, panicked) = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(clients_per_shard.iter())
-                .enumerate()
-                .filter(|(_, (_, &clients))| clients > 0)
-                .map(|(k, (shard, &clients))| {
-                    let handle = scope.spawn(move || {
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let mut rng = shard_rng(base_seed, k);
-                        let mut buffer = RecordsBuffer::new(arity)?;
-                        let mut tallies: Vec<Vec<u64>> =
-                            channel_sizes.iter().map(|&s| vec![0u64; s]).collect();
-                        let mut remaining = clients;
-                        while remaining > 0 {
-                            let take = remaining.min(ENCODE_BATCH);
-                            buffer.clear();
-                            for _ in 0..take {
-                                let record = generator(&mut rng);
-                                buffer.push_record(&record)?;
-                            }
-                            let t0 = worker.chunk_start();
-                            protocol.encode_tally(&buffer.view(), &mut rng, &mut tallies)?;
-                            worker.chunk_done(t0);
-                            remaining -= take;
-                        }
-                        shard.absorb_counts(&tallies, clients as u64)?;
-                        worker.run_done(clients as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
-                .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(clients_per_shard.iter().map(|&c| c as u64).sum())
-    }
-
     /// The k-way merge of all shards (exact: counts are sums).
     ///
     /// # Errors
@@ -816,7 +749,6 @@ mod tests {
     use super::*;
     use mdrr_data::{Attribute, Schema};
     use mdrr_protocols::{FrequencyEstimator, ProtocolSpec, RandomizationLevel};
-    use rand::RngCore;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -886,20 +818,6 @@ mod tests {
         assert_eq!(c.ingest_records(&[], 1).unwrap(), 0);
         // Invalid records surface as errors.
         assert!(c.ingest_records(&[vec![9, 9]], 1).is_err());
-    }
-
-    #[test]
-    fn generated_ingestion_validates_and_counts() {
-        let mut c = ShardedCollector::new(protocol(), 3).unwrap();
-        assert!(c.ingest_generated(&[10, 10], 1, |_| vec![0, 0]).is_err());
-        let n = c
-            .ingest_generated(&[100, 50, 0], 1, |rng| {
-                vec![rng.next_u64() as u32 % 3, rng.next_u64() as u32 % 2]
-            })
-            .unwrap();
-        assert_eq!(n, 150);
-        assert_eq!(c.total_reports(), 150);
-        assert_eq!(c.shards()[2].n_reports(), 0);
     }
 
     #[test]

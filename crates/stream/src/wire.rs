@@ -675,50 +675,96 @@ pub fn encode_batch_payload(
     Ok(out)
 }
 
+/// A shape-checked, zero-copy view of a batch payload: the parsed
+/// header plus the channel-major little-endian code bytes, borrowed
+/// straight from the receive buffer.  Parsing checks the shape only —
+/// the declared channel count against the protocol's and the declared
+/// code count against exactly the bytes received — never the code
+/// ranges, which the accumulator checks for every channel before it
+/// counts any ([`crate::ShardedCollector::ingest_wire`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BatchView<'a> {
+    header: BatchHeader,
+    n_channels: usize,
+    n_reports: usize,
+    words: &'a [[u8; 4]],
+}
+
+impl<'a> BatchView<'a> {
+    /// Parses the 20-byte batch payload header and checks the payload's
+    /// shape against a protocol with `n_channels` channels, copying
+    /// nothing.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`] for a payload shorter than its header;
+    /// [`WireError::SpecMismatch`] when the declared channel count is not
+    /// `n_channels`; [`WireError::Malformed`] when the declared code count
+    /// overflows or does not account for exactly the bytes received.
+    pub fn parse(payload: &'a [u8], n_channels: usize) -> Result<Self, WireError> {
+        let mut cur = Cursor::new(payload);
+        let seq = cur.take_u64()?;
+        let shard = cur.take_u32()?;
+        let declared_channels = cur.take_u32()?;
+        let n_reports = cur.take_u32()?;
+        if declared_channels as usize != n_channels {
+            return Err(WireError::spec_mismatch(format!(
+                "batch declares {declared_channels} channels but the protocol has {n_channels}"
+            )));
+        }
+        let code_bytes = (declared_channels as u64)
+            .checked_mul(n_reports as u64)
+            .and_then(|codes| codes.checked_mul(4))
+            .ok_or_else(|| WireError::malformed("batch code count overflows".to_string()))?;
+        let codes = payload.get(BATCH_PAYLOAD_HEADER_LEN..).unwrap_or_default();
+        if code_bytes != codes.len() as u64 {
+            return Err(WireError::malformed(format!(
+                "batch declares {code_bytes} code bytes but the payload carries {}",
+                codes.len()
+            )));
+        }
+        let (words, _) = codes.as_chunks::<4>();
+        Ok(BatchView {
+            header: BatchHeader { seq, shard },
+            n_channels,
+            n_reports: n_reports as usize,
+            words,
+        })
+    }
+
+    /// The batch's sequence number and shard hint.
+    pub fn header(&self) -> BatchHeader {
+        self.header
+    }
+
+    /// Number of reports the batch carries.
+    pub(crate) fn n_reports(&self) -> usize {
+        self.n_reports
+    }
+
+    /// The per-channel code columns, in channel order: each column is
+    /// [`BatchView::n_reports`] little-endian `u32` words.
+    pub(crate) fn columns(&self) -> impl ExactSizeIterator<Item = &'a [[u8; 4]]> + Clone {
+        let words = self.words;
+        let n = self.n_reports;
+        (0..self.n_channels).map(move |k| words.get(k * n..(k + 1) * n).unwrap_or(&[]))
+    }
+}
+
 /// Decodes a batch payload into a reusable [`ReportBatch`] shaped for the
-/// server's protocol.  The declared channel count must match the batch's
-/// and the declared code count must account for *exactly* the bytes
-/// received — both verified before any buffer is grown, so attacker
-/// -controlled counts never size an allocation beyond bytes actually on
-/// the wire.
+/// server's protocol: [`BatchView::parse`] against the batch's channel
+/// count, then a copy of the codes.  The shape is verified before any
+/// buffer is grown, so attacker-controlled counts never size an
+/// allocation beyond bytes actually on the wire.
 pub fn decode_batch_payload(
     payload: &[u8],
     out: &mut ReportBatch,
 ) -> Result<BatchHeader, WireError> {
-    let mut cur = Cursor::new(payload);
-    let seq = cur.take_u64()?;
-    let shard = cur.take_u32()?;
-    let n_channels = cur.take_u32()?;
-    let n_reports = cur.take_u32()?;
-    if n_channels as usize != out.n_channels() {
-        return Err(WireError::spec_mismatch(format!(
-            "batch declares {n_channels} channels but the protocol has {}",
-            out.n_channels()
-        )));
-    }
-    let code_bytes = (n_channels as u64)
-        .checked_mul(n_reports as u64)
-        .and_then(|codes| codes.checked_mul(4))
-        .ok_or_else(|| WireError::malformed("batch code count overflows".to_string()))?;
-    let available = (payload.len() - BATCH_PAYLOAD_HEADER_LEN.min(payload.len())) as u64;
-    if code_bytes != available {
-        return Err(WireError::malformed(format!(
-            "batch declares {code_bytes} code bytes but the payload carries {available}"
-        )));
-    }
+    let view = BatchView::parse(payload, out.n_channels())?;
     out.clear();
-    let per_channel = (n_reports as usize).saturating_mul(4);
-    for channel in out.channels_mut() {
-        let raw = cur.take(per_channel)?;
-        channel.extend(raw.chunks_exact(4).map(|chunk| {
-            let mut bytes = [0u8; 4];
-            for (dst, src) in bytes.iter_mut().zip(chunk.iter()) {
-                *dst = *src;
-            }
-            u32::from_le_bytes(bytes)
-        }));
+    for (channel, words) in out.channels_mut().iter_mut().zip(view.columns()) {
+        channel.extend(words.iter().map(|&word| u32::from_le_bytes(word)));
     }
-    Ok(BatchHeader { seq, shard })
+    Ok(view.header())
 }
 
 /// Rewrites the sequence number inside a pre-encoded *batch frame*
