@@ -40,8 +40,12 @@ pub enum MdrrError {
     },
     /// A shard worker died (its thread panicked) or a quarantined shard
     /// was asked to ingest.  The collector survives: the failed shard is
-    /// quarantined and the rest keep working — callers decide whether to
-    /// re-run the lost range or continue degraded.
+    /// quarantined with its pre-call counts, and the rest keep working.
+    /// A bulk call returns this only when no worker returned an error, so
+    /// every healthy worker's counts were committed and only the failed
+    /// shard's range is lost — callers decide whether to re-run it or
+    /// continue degraded.  (A worker error commits nothing and is returned
+    /// instead.)
     ShardFailed {
         /// Index of the shard whose worker failed.
         shard: usize,

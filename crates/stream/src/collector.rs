@@ -2,12 +2,14 @@
 //!
 //! A [`ShardedCollector`] owns `N` independent [`Accumulator`]s and fans
 //! ingestion out over `std::thread::scope` workers — one worker per shard,
-//! each with its own deterministic RNG, each writing only to its own
-//! shard's accumulator, so ingestion is embarrassingly parallel and never
-//! locks.  At any point mid-stream the shards can be merged (exactly —
-//! counts are sums) and snapshotted into the protocol's regular release via
-//! the closed-form estimators, so incremental estimation costs O(domain)
-//! per snapshot, independent of how many reports have streamed by.
+//! each with its own deterministic RNG, each counting into worker-local
+//! state that the caller thread commits once every worker has joined, so
+//! ingestion is embarrassingly parallel, never locks, and a failed bulk
+//! call commits nothing.  At any point mid-stream the shards can be
+//! merged (exactly — counts are sums) and snapshotted into the protocol's
+//! regular release via the closed-form estimators, so incremental
+//! estimation costs O(domain) per snapshot, independent of how many
+//! reports have streamed by.
 //!
 //! The collector is generic over the protocol: it holds an
 //! `Arc<dyn Protocol>` and works with any implementation of
@@ -57,11 +59,11 @@ pub struct ShardedCollector {
     shards: Vec<Accumulator>,
     /// Degraded-mode flags, parallel to `shards`: a quarantined shard
     /// stopped serving after its worker failed.  Its accumulator keeps
-    /// the reports it had absorbed before the failure (a worker that
-    /// dies mid-run never half-commits — tallies are absorbed only at
-    /// run end), the bulk paths route new records over the remaining
-    /// healthy shards, and [`ShardedCollector::rehabilitate`] brings the
-    /// shard back once its lost range has been re-collected.
+    /// the reports it held before the failed call (workers count into
+    /// worker-local state, so a panic never half-commits), the bulk paths
+    /// route new records over the remaining healthy shards, and
+    /// [`ShardedCollector::rehabilitate`] brings the shard back once its
+    /// lost range has been re-collected.
     quarantined: Vec<bool>,
     obs: Option<Arc<StreamObs>>,
 }
@@ -183,8 +185,8 @@ impl ShardedCollector {
             .collect()
     }
 
-    /// The record partition the bulk paths would use for `n` records
-    /// right now: `(shard, record_range)` pairs over the healthy shards,
+    /// The record partition the bulk paths use for `n` records right
+    /// now: `(shard, record_range)` pairs over the healthy shards,
     /// in shard order, with empty trailing ranges omitted.  With no shard
     /// quarantined this is exactly the historical contiguous-chunk
     /// partition.  Callers that may need to re-collect a shard's work
@@ -250,24 +252,12 @@ impl ShardedCollector {
         Ok(())
     }
 
-    /// The number of healthy shards, as a typed error when every shard is
-    /// quarantined (a fully degraded collector cannot ingest).
-    fn healthy_count(&self) -> Result<usize, MdrrError> {
-        let count = self.quarantined.iter().filter(|&&q| !q).count();
-        if count == 0 {
-            return Err(MdrrError::config(
-                "every shard is quarantined; rehabilitate at least one before ingesting",
-            ));
-        }
-        Ok(count)
-    }
-
     /// Quarantines every shard whose worker died, records the failures
     /// (health gauge to 0, `stream_shard_failures_total`, a
     /// `shard_failed` journal event each), and surfaces the first one as
     /// the typed error.  The panicked shards' accumulators are untouched:
-    /// workers absorb their tallies only at run end, so a mid-run death
-    /// never half-commits.
+    /// workers count into worker-local state that only the caller thread
+    /// commits.
     fn quarantine_failures(&mut self, panicked: Vec<(usize, String)>) -> Result<(), MdrrError> {
         let mut first: Option<(usize, String)> = None;
         for (k, text) in panicked {
@@ -289,6 +279,26 @@ impl ShardedCollector {
         }
     }
 
+    /// Shard `shard`'s accumulator, if that shard exists and is serving.
+    ///
+    /// # Errors
+    /// [`MdrrError::ShardFailed`] for a quarantined shard and
+    /// [`MdrrError::InvalidConfiguration`] for an out-of-range index.
+    fn healthy_shard_mut(&mut self, shard: usize) -> Result<&mut Accumulator, MdrrError> {
+        if self.is_quarantined(shard) {
+            return Err(MdrrError::shard_failed(
+                shard,
+                "shard is quarantined; rehabilitate it before routing to it".to_string(),
+            ));
+        }
+        let n_shards = self.shards.len();
+        self.shards.get_mut(shard).ok_or_else(|| {
+            MdrrError::config(format!(
+                "shard index {shard} out of range ({n_shards} shards)"
+            ))
+        })
+    }
+
     /// Ingests one already-encoded report into a specific shard (the
     /// network path: reports arrive pre-randomized from the clients and are
     /// routed to a shard by any load-balancing rule).
@@ -297,21 +307,7 @@ impl ShardedCollector {
     /// Returns [`MdrrError::InvalidConfiguration`] for a bad shard index
     /// or a report that does not match the protocol's channels.
     pub fn ingest_report(&mut self, shard: usize, report: &Report) -> Result<(), MdrrError> {
-        let n_shards = self.shards.len();
-        if self.is_quarantined(shard) {
-            return Err(MdrrError::shard_failed(
-                shard,
-                "shard is quarantined; rehabilitate it before routing reports to it".to_string(),
-            ));
-        }
-        self.shards
-            .get_mut(shard)
-            .ok_or_else(|| {
-                MdrrError::config(format!(
-                    "shard index {shard} out of range ({n_shards} shards)"
-                ))
-            })?
-            .ingest(report)?;
+        self.healthy_shard_mut(shard)?.ingest(report)?;
         if let Some(obs) = self.obs.as_ref() {
             if let Some(shard_obs) = obs.shards.get(shard) {
                 shard_obs.reports.inc();
@@ -357,35 +353,25 @@ impl ShardedCollector {
         n: usize,
         count: impl FnOnce(&mut Accumulator) -> Result<(), MdrrError>,
     ) -> Result<u64, MdrrError> {
-        let n_shards = self.shards.len();
-        if self.is_quarantined(shard) {
-            return Err(MdrrError::shard_failed(
-                shard,
-                "shard is quarantined; rehabilitate it before routing batches to it".to_string(),
-            ));
-        }
+        let start = WorkerObs::for_shard(self.obs.as_deref(), shard).chunk_start();
+        count(self.healthy_shard_mut(shard)?)?;
         let worker = WorkerObs::for_shard(self.obs.as_deref(), shard);
-        let start = worker.chunk_start();
-        let accumulator = self.shards.get_mut(shard).ok_or_else(|| {
-            MdrrError::config(format!(
-                "shard index {shard} out of range ({n_shards} shards)"
-            ))
-        })?;
-        count(accumulator)?;
         worker.chunk_done(start);
         worker.run_done(n as u64);
         Ok(n as u64)
     }
 
     /// Simulates `records.n_records()` clients from a zero-copy columnar
-    /// view — the fastest bulk path: splits the view into one contiguous
-    /// range per shard and runs one `std::thread::scope` worker per
+    /// view — the fastest bulk path.  The view is split by
+    /// [`ShardedCollector::shard_ranges`] into one contiguous range per
+    /// healthy shard, and one `std::thread::scope` worker runs per
     /// non-empty range.  Worker `k` encodes its range in
-    /// [`ENCODE_BATCH`]-sized chunks through the protocol's batched
-    /// encoder with its own deterministic RNG (derived from `base_seed`
-    /// and `k`; the shard → RNG mapping is independent of how many shards
-    /// end up with records) and bulk-counts each chunk into shard `k` —
-    /// no locks, no cross-shard traffic, zero allocations per record.
+    /// [`ENCODE_BATCH`]-sized chunks through the protocol's fused
+    /// [`Protocol::encode_tally`] with its own deterministic RNG (derived
+    /// from `base_seed` and `k`; the shard → RNG mapping is independent
+    /// of how many shards end up with records), counting into its own
+    /// tallies — no locks, no cross-shard traffic, zero allocations per
+    /// record.
     ///
     /// The result is fully deterministic for a given
     /// `(records, base_seed, n_shards)` triple and bit-identical to
@@ -396,77 +382,34 @@ impl ShardedCollector {
     /// Returns the number of reports ingested.
     ///
     /// # Errors
-    /// Returns the first worker error (e.g. a record that does not fit the
-    /// protocol's schema).  Shards that already counted earlier chunks of
-    /// their range keep those reports, so a failed call should be treated
-    /// as poisoning the collector.  A worker that *panics* is contained:
-    /// its shard is quarantined (the panic never half-commits — tallies
-    /// absorb only at run end), the other shards' work survives, and the
-    /// panic surfaces as [`MdrrError::ShardFailed`].
+    /// The call commits on the caller thread, after every worker has
+    /// joined:
+    /// - a worker that *panics* is contained: its shard is quarantined
+    ///   (health gauge 0, `stream_shard_failures_total`, a `shard_failed`
+    ///   journal event) and keeps its pre-call counts;
+    /// - if any worker returned an error (e.g. a record that does not fit
+    ///   the protocol's schema), nothing is committed and the first error
+    ///   in shard order is returned — fix the input and retry the whole
+    ///   call;
+    /// - otherwise every healthy worker's counts are merged into its
+    ///   shard (only then does `stream_shard_reports_total` count them),
+    ///   and a panic surfaces as [`MdrrError::ShardFailed`].
     pub fn ingest_view(
         &mut self,
         records: &RecordsView<'_>,
         base_seed: u64,
     ) -> Result<u64, MdrrError> {
-        let n = records.n_records();
-        if n == 0 {
-            return Ok(0);
-        }
-        let chunk_size = n.div_ceil(self.healthy_count()?);
-        let channel_sizes = self.protocol.channel_sizes();
-        let channel_sizes = &channel_sizes;
-        let protocol: &dyn Protocol = &*self.protocol;
-        let obs = self.obs.as_deref();
-        let quarantined = &self.quarantined;
-        let (results, panicked) = std::thread::scope(|scope| {
-            let mut ordinal = 0usize;
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, shard)| {
-                    if quarantined.get(k).copied().unwrap_or(false) {
-                        return None;
-                    }
-                    let j = ordinal;
-                    ordinal += 1;
-                    let start = j * chunk_size;
-                    if start >= n {
-                        return None;
-                    }
-                    Some((k, shard, start..((j + 1) * chunk_size).min(n)))
-                })
-                .map(|(k, shard, range)| {
-                    let handle = scope.spawn(move || {
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let range = records.slice(range)?;
-                        let mut rng = shard_rng(base_seed, k);
-                        let mut tallies: Vec<Vec<u64>> =
-                            channel_sizes.iter().map(|&s| vec![0u64; s]).collect();
-                        let mut start = 0;
-                        while start < range.n_records() {
-                            let end = (start + ENCODE_BATCH).min(range.n_records());
-                            let chunk = range.slice(start..end)?;
-                            let t0 = worker.chunk_start();
-                            protocol.encode_tally(&chunk, &mut rng, &mut tallies)?;
-                            worker.chunk_done(t0);
-                            start = end;
-                        }
-                        shard.absorb_counts(&tallies, range.n_records() as u64)?;
-                        worker.run_done(range.n_records() as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
-                .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(n as u64)
+        self.fan_out(records.n_records(), base_seed, |worker, range| {
+            let range = records.slice(range)?;
+            let mut tallies = worker.zero_tallies();
+            let mut start = 0;
+            while start < range.n_records() {
+                let end = (start + ENCODE_BATCH).min(range.n_records());
+                worker.encode_tally(&range.slice(start..end)?, &mut tallies)?;
+                start = end;
+            }
+            Accumulator::from_counts(tallies, range.n_records() as u64)
+        })
     }
 
     /// Simulates `records.len()` clients from row-major records: the same
@@ -480,69 +423,25 @@ impl ShardedCollector {
     /// Returns the number of reports ingested.
     ///
     /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_view`].
+    /// Same commit contract as [`ShardedCollector::ingest_view`].
     pub fn ingest_records(
         &mut self,
         records: &[Vec<u32>],
         base_seed: u64,
     ) -> Result<u64, MdrrError> {
-        if records.is_empty() {
-            return Ok(0);
-        }
-        let chunk_size = records.len().div_ceil(self.healthy_count()?);
-        let arity = self.protocol.schema().len();
-        let channel_sizes = self.protocol.channel_sizes();
-        let channel_sizes = &channel_sizes;
-        let protocol: &dyn Protocol = &*self.protocol;
-        let obs = self.obs.as_deref();
-        let quarantined = &self.quarantined;
-        let (results, panicked) = std::thread::scope(|scope| {
-            let mut ordinal = 0usize;
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, shard)| {
-                    if quarantined.get(k).copied().unwrap_or(false) {
-                        return None;
-                    }
-                    let j = ordinal;
-                    ordinal += 1;
-                    let start = j * chunk_size;
-                    let chunk = records.get(start..((j + 1) * chunk_size).min(records.len()))?;
-                    (!chunk.is_empty()).then_some((k, shard, chunk))
-                })
-                .map(|(k, shard, chunk)| {
-                    let handle = scope.spawn(move || {
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let mut rng = shard_rng(base_seed, k);
-                        let mut buffer = RecordsBuffer::new(arity)?;
-                        let mut tallies: Vec<Vec<u64>> =
-                            channel_sizes.iter().map(|&s| vec![0u64; s]).collect();
-                        for sub in chunk.chunks(ENCODE_BATCH) {
-                            buffer.clear();
-                            for record in sub {
-                                buffer.push_record(record)?;
-                            }
-                            let t0 = worker.chunk_start();
-                            protocol.encode_tally(&buffer.view(), &mut rng, &mut tallies)?;
-                            worker.chunk_done(t0);
-                        }
-                        shard.absorb_counts(&tallies, chunk.len() as u64)?;
-                        worker.run_done(chunk.len() as u64);
-                        Ok(())
-                    });
-                    (k, handle)
-                })
-                .collect();
-            join_workers(handles)
-        });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
-        }
-        self.update_imbalance();
-        Ok(records.len() as u64)
+        self.fan_out(records.len(), base_seed, |worker, range| {
+            let rows = rows_in(records, range)?;
+            let mut buffer = RecordsBuffer::new(worker.protocol.schema().len())?;
+            let mut tallies = worker.zero_tallies();
+            for sub in rows.chunks(ENCODE_BATCH) {
+                buffer.clear();
+                for record in sub {
+                    buffer.push_record(record)?;
+                }
+                worker.encode_tally(&buffer.view(), &mut tallies)?;
+            }
+            Accumulator::from_counts(tallies, rows.len() as u64)
+        })
     }
 
     /// The scalar reference sibling of [`ShardedCollector::ingest_records`]:
@@ -556,63 +455,79 @@ impl ShardedCollector {
     /// Returns the number of reports ingested.
     ///
     /// # Errors
-    /// Same contract as [`ShardedCollector::ingest_view`].
+    /// Same commit contract as [`ShardedCollector::ingest_view`].
     pub fn ingest_records_per_record(
         &mut self,
         records: &[Vec<u32>],
         base_seed: u64,
     ) -> Result<u64, MdrrError> {
-        if records.is_empty() {
+        self.fan_out(records.len(), base_seed, |worker, range| {
+            // The scalar path is timed per worker run (one "chunk"), not
+            // per report — per-report clock reads would distort the
+            // baseline it exists to provide.
+            let t0 = worker.obs.chunk_start();
+            let mut local = Accumulator::new(&worker.protocol.channel_sizes())?;
+            for record in rows_in(records, range)? {
+                local.ingest(&Report::encode(worker.protocol, record, &mut worker.rng)?)?;
+            }
+            worker.obs.chunk_done(t0);
+            Ok(local)
+        })
+    }
+
+    /// The one bulk fan-out: runs `count` on one scoped worker per range
+    /// of [`ShardedCollector::shard_ranges`]`(n)`, each worker returning
+    /// the counts of its range in a fresh accumulator, then commits on
+    /// this thread under the contract documented on
+    /// [`ShardedCollector::ingest_view`].
+    fn fan_out<F>(&mut self, n: usize, base_seed: u64, count: F) -> Result<u64, MdrrError>
+    where
+        F: Fn(&mut Worker<'_>, Range<usize>) -> Result<Accumulator, MdrrError> + Sync,
+    {
+        if n == 0 {
             return Ok(0);
         }
-        let chunk_size = records.len().div_ceil(self.healthy_count()?);
+        let ranges = self.shard_ranges(n);
+        if ranges.is_empty() {
+            return Err(MdrrError::config(
+                "every shard is quarantined; rehabilitate at least one before ingesting",
+            ));
+        }
         let protocol: &dyn Protocol = &*self.protocol;
         let obs = self.obs.as_deref();
-        let quarantined = &self.quarantined;
+        let count = &count;
         let (results, panicked) = std::thread::scope(|scope| {
-            let mut ordinal = 0usize;
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, shard)| {
-                    if quarantined.get(k).copied().unwrap_or(false) {
-                        return None;
-                    }
-                    let j = ordinal;
-                    ordinal += 1;
-                    let start = j * chunk_size;
-                    let chunk = records.get(start..((j + 1) * chunk_size).min(records.len()))?;
-                    (!chunk.is_empty()).then_some((k, shard, chunk))
-                })
-                .map(|(k, shard, chunk)| {
+            let handles = ranges
+                .into_iter()
+                .map(|(k, range)| {
                     let handle = scope.spawn(move || {
-                        // The scalar path is timed per worker run (one
-                        // "chunk"), not per report — per-report clock
-                        // reads would distort the baseline it exists to
-                        // provide.
-                        let worker = WorkerObs::for_shard(obs, k);
-                        let t0 = worker.chunk_start();
-                        let mut rng = shard_rng(base_seed, k);
-                        for record in chunk {
-                            let report = Report::encode(protocol, record, &mut rng)?;
-                            shard.ingest(&report)?;
-                        }
-                        worker.chunk_done(t0);
-                        worker.run_done(chunk.len() as u64);
-                        Ok(())
+                        let mut worker = Worker {
+                            protocol,
+                            rng: shard_rng(base_seed, k),
+                            obs: WorkerObs::for_shard(obs, k),
+                        };
+                        count(&mut worker, range)
                     });
                     (k, handle)
                 })
                 .collect();
             join_workers(handles)
         });
-        self.quarantine_failures(panicked)?;
-        for result in results {
-            result?;
+        let failed = self.quarantine_failures(panicked);
+        let locals = results
+            .into_iter()
+            .map(|(k, result)| result.map(|local| (k, local)))
+            .collect::<Result<Vec<_>, MdrrError>>()?;
+        for (k, local) in &locals {
+            // Worker-local accumulators share the shards' channel layout
+            // (both come from the protocol), so no merge fails part-way.
+            if let Some(shard) = self.shards.get_mut(*k) {
+                shard.merge(local)?;
+            }
+            WorkerObs::for_shard(self.obs.as_deref(), *k).run_done(local.n_reports());
         }
         self.update_imbalance();
-        Ok(records.len() as u64)
+        failed.map(|()| n as u64)
     }
 
     /// The k-way merge of all shards (exact: counts are sums).
@@ -675,24 +590,61 @@ impl ShardedCollector {
     }
 }
 
-/// Worker panics collected at join time: `(shard ordinal, panic text)`.
+/// What one fan-out worker runs with: the protocol, its shard's RNG and
+/// its shard's meters.
+struct Worker<'a> {
+    protocol: &'a dyn Protocol,
+    rng: StdRng,
+    obs: WorkerObs<'a>,
+}
+
+impl Worker<'_> {
+    /// Zeroed per-channel tallies for [`Worker::encode_tally`].
+    fn zero_tallies(&self) -> Vec<Vec<u64>> {
+        self.protocol
+            .channel_sizes()
+            .iter()
+            .map(|&s| vec![0u64; s])
+            .collect()
+    }
+
+    /// Randomizes `chunk` and adds its codes to `tallies`, metered as one
+    /// chunk.
+    fn encode_tally(
+        &mut self,
+        chunk: &RecordsView<'_>,
+        tallies: &mut [Vec<u64>],
+    ) -> Result<(), MdrrError> {
+        let t0 = self.obs.chunk_start();
+        self.protocol.encode_tally(chunk, &mut self.rng, tallies)?;
+        self.obs.chunk_done(t0);
+        Ok(())
+    }
+}
+
+/// The rows of `range` (always in bounds for a range from
+/// [`ShardedCollector::shard_ranges`]).
+fn rows_in(records: &[Vec<u32>], range: Range<usize>) -> Result<&[Vec<u32>], MdrrError> {
+    records
+        .get(range.clone())
+        .ok_or_else(|| MdrrError::config(format!("record range {range:?} out of bounds")))
+}
+
+/// Worker panics collected at join time: `(shard, panic text)`.
 type PanickedWorkers = Vec<(usize, String)>;
 
-/// Joins a set of `(shard, handle)` worker pairs, separating ordinary
-/// results from panics: a panicked worker becomes a `(shard, panic text)`
-/// entry instead of re-raising, so the caller can quarantine the shard
-/// and keep the healthy workers' results.
-fn join_workers<'scope>(
-    handles: Vec<(
-        usize,
-        std::thread::ScopedJoinHandle<'scope, Result<(), MdrrError>>,
-    )>,
-) -> (Vec<Result<(), MdrrError>>, PanickedWorkers) {
+/// Joins a set of `(shard, handle)` worker pairs in order, separating
+/// ordinary results from panics: a panicked worker becomes a
+/// `(shard, panic text)` entry instead of re-raising, so the caller can
+/// quarantine the shard and keep the healthy workers' results.
+fn join_workers<T>(
+    handles: Vec<(usize, std::thread::ScopedJoinHandle<'_, T>)>,
+) -> (Vec<(usize, T)>, PanickedWorkers) {
     let mut results = Vec::with_capacity(handles.len());
     let mut panicked = Vec::new();
     for (k, handle) in handles {
         match handle.join() {
-            Ok(result) => results.push(result),
+            Ok(result) => results.push((k, result)),
             Err(payload) => panicked.push((k, panic_text(payload))),
         }
     }
@@ -837,6 +789,39 @@ mod tests {
             assert_eq!(columnar.ingest_view(&ds.view(), 77).unwrap(), 3_007);
             assert_eq!(batched.shards(), scalar.shards(), "{n_shards} shards");
             assert_eq!(batched.shards(), columnar.shards(), "{n_shards} shards");
+        }
+    }
+
+    #[test]
+    fn a_failed_bulk_call_commits_nothing() {
+        // 1,000 rows whose last one is out of range: every bulk path must
+        // return the error and leave every shard exactly as it was.
+        let mut rows = records(999);
+        rows.push(vec![9, 0]);
+        let mut buffer = RecordsBuffer::new(2).unwrap();
+        for row in &rows {
+            buffer.push_record(row).unwrap();
+        }
+        for n_shards in [1usize, 3, 8] {
+            let mut c = ShardedCollector::new(protocol(), n_shards).unwrap();
+            let obs = StreamObs::new(Arc::new(mdrr_obs::NullClock), n_shards);
+            c.instrument(Arc::clone(&obs)).unwrap();
+            c.ingest_records(&records(100), 5).unwrap();
+            let before = c.shards().to_vec();
+            assert!(c.ingest_view(&buffer.view(), 7).is_err(), "{n_shards}");
+            assert_eq!(c.shards(), &before[..], "view, {n_shards} shards");
+            assert!(c.ingest_records(&rows, 7).is_err(), "{n_shards}");
+            assert_eq!(c.shards(), &before[..], "rows, {n_shards} shards");
+            assert!(c.ingest_records_per_record(&rows, 7).is_err());
+            assert_eq!(c.shards(), &before[..], "scalar, {n_shards} shards");
+            // The exported counters never count an uncommitted report.
+            let metrics = obs.registry().snapshot();
+            for (k, shard) in c.shards().iter().enumerate() {
+                let label = k.to_string();
+                let counted = metrics
+                    .counter_value("stream_shard_reports_total", &[("shard", label.as_str())]);
+                assert_eq!(counted, Some(shard.n_reports()), "shard {k}");
+            }
         }
     }
 

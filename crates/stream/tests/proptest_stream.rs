@@ -268,8 +268,8 @@ proptest! {
         }
     }
 
-    /// The sharded bulk paths — row-major, columnar view, and generated —
-    /// are byte-identical to the scalar reference ingestion for any shard
+    /// The sharded bulk paths — row-major and columnar view — are
+    /// byte-identical to the scalar reference ingestion for any shard
     /// count and seed (same chunk → shard assignment, same shard → RNG
     /// mapping, same draws).
     #[test]

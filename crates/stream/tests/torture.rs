@@ -387,10 +387,29 @@ fn a_panicked_shard_is_quarantined_and_recovered_exactly() {
     old_only.ingest_records(&batch1, SEED_1).unwrap();
     assert_eq!(victim.shards()[failed], old_only.shards()[failed]);
 
-    // Degraded collection continues on the healthy shards…
-    let before = victim.total_reports();
+    // Degraded collection continues on the healthy shards, through every
+    // bulk path alike: each lands exactly the degraded partition's ranges.
+    let before: Vec<u64> = victim.shards().iter().map(|s| s.n_reports()).collect();
+    let ranges3 = victim.shard_ranges(batch3.len());
+    let mut via_view = victim.clone();
+    let mut via_scalar = victim.clone();
     victim.ingest_records(&batch3, 777).unwrap();
-    assert_eq!(victim.total_reports(), before + batch3.len() as u64);
+    let batch3_view = mdrr_data::Dataset::from_records(schema(), &batch3).unwrap();
+    via_view.ingest_view(&batch3_view.view(), 777).unwrap();
+    via_scalar.ingest_records_per_record(&batch3, 777).unwrap();
+    assert_eq!(via_view.shards(), victim.shards());
+    assert_eq!(via_scalar.shards(), victim.shards());
+    for (k, shard) in victim.shards().iter().enumerate() {
+        let expected = ranges3
+            .iter()
+            .find(|(j, _)| *j == k)
+            .map_or(0, |(_, range)| range.len() as u64);
+        assert_eq!(shard.n_reports() - before[k], expected, "shard {k}");
+    }
+    assert_eq!(
+        ranges3.iter().map(|(_, r)| r.len()).sum::<usize>(),
+        batch3.len()
+    );
     // …while the quarantined shard rejects routed traffic.
     assert!(victim
         .ingest_report(failed, &mdrr_stream::Report::new(vec![0, 0]))
