@@ -12,9 +12,7 @@
 //! --out PATH    also write the result as JSON to PATH
 //! ```
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use mdrr_eval::ExperimentConfig;
 use serde::Serialize;

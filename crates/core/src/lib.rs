@@ -40,9 +40,7 @@
 //! # Ok::<(), mdrr_core::CoreError>(())
 //! ```
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod bounds;
 pub mod error;

@@ -110,15 +110,17 @@ fn uniform_redraw_scale(r: usize, threshold: u64) -> u128 {
 
 // The shared keep/redraw kernel below is the reason the batched and
 // per-record paths are bit-identical: pure integer arithmetic, one draw
-// per value.  mdrr-lint enforces that no float (and no allocation) ever
-// sneaks back in.
-// lint:region(no_float, no_alloc)
+// per value.  `clippy::float_arithmetic` (denied on the kernel fns and
+// the strided loops that call them) keeps floats out, and mdrr-lint's
+// `no_alloc` region keeps allocations out.
+// lint:region(no_alloc)
 
 /// The redraw half of the kernel: maps the leftover mass `hi − threshold`
 /// onto one of the `r − 1` categories other than `true_value`.  Shared by
 /// the batched kernel and the scalar path so their arithmetic can never
 /// diverge.
 #[inline]
+#[deny(clippy::float_arithmetic)]
 fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) -> u32 {
     let idx = (((hi - threshold) as u128 * redraw_scale) >> 64) as u32;
     idx + u32::from(idx >= true_value)
@@ -136,6 +138,7 @@ fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) 
 /// discipline both the per-record and the batched encoders share, which is
 /// what makes them bit-identical under a common seed.
 #[inline]
+#[deny(clippy::float_arithmetic)]
 fn sample_uniform_raw(threshold: u64, redraw_scale: u128, true_value: u32, raw: u64) -> u32 {
     let hi = raw >> (64 - DRAW_BITS);
     if hi < threshold {
@@ -144,7 +147,7 @@ fn sample_uniform_raw(threshold: u64, redraw_scale: u128, true_value: u32, raw: 
     uniform_redraw(threshold, redraw_scale, true_value, hi)
 }
 
-// lint:endregion(no_float, no_alloc)
+// lint:endregion(no_alloc)
 
 /// One-draw inverse-CDF sampling along row `u` of a general row-stochastic
 /// matrix: walk the row subtracting probabilities until the draw is spent.
@@ -220,6 +223,7 @@ impl PreparedRandomizer<'_> {
     /// Panics if `draws` is shorter than the strided indexing requires or
     /// `stride` is zero.
     #[inline]
+    #[deny(clippy::float_arithmetic)]
     pub fn randomize_strided_into(
         &self,
         column: &[u32],
@@ -238,11 +242,11 @@ impl PreparedRandomizer<'_> {
                 threshold,
                 redraw_scale,
             } => {
-                // lint:region(no_float, no_alloc)
+                // lint:region(no_alloc)
                 out.extend(column.iter().enumerate().map(|(i, &v)| {
                     sample_uniform_raw(threshold, redraw_scale, v, draws[offset + i * stride])
                 }));
-                // lint:endregion(no_float, no_alloc)
+                // lint:endregion(no_alloc)
             }
             PreparedKind::General(m) => {
                 let r = self.r;
@@ -266,6 +270,7 @@ impl PreparedRandomizer<'_> {
     /// Panics if `tally.len() != r`, `draws` is shorter than the strided
     /// indexing requires, or `stride` is zero.
     #[inline]
+    #[deny(clippy::float_arithmetic)]
     pub fn randomize_strided_tally(
         &self,
         column: &[u32],
@@ -285,7 +290,7 @@ impl PreparedRandomizer<'_> {
                 threshold,
                 redraw_scale,
             } => {
-                // lint:region(no_float, no_alloc)
+                // lint:region(no_alloc)
                 if self.r <= TALLY_BANK_WIDTH {
                     // Four interleaved stack banks: consecutive values
                     // never increment the same counter slot, so the
@@ -319,7 +324,7 @@ impl PreparedRandomizer<'_> {
                         tally[code as usize] += 1;
                     }
                 }
-                // lint:endregion(no_float, no_alloc)
+                // lint:endregion(no_alloc)
             }
             PreparedKind::General(m) => {
                 for (i, &v) in column.iter().enumerate() {

@@ -44,9 +44,7 @@
 //! # Ok::<(), mdrr_data::DataError>(())
 //! ```
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod adult;
 pub mod csv;

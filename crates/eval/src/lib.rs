@@ -39,9 +39,7 @@
 //! # Ok::<(), mdrr_protocols::ProtocolError>(())
 //! ```
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod experiments;
 pub mod metrics;

@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn render_matches_the_rustc_shape() {
         let d = Diagnostic {
-            rule: "no-panic-paths".into(),
+            rule: "panic-reachability".into(),
             severity: Severity::Warning,
             file: "crates/store/src/format.rs".into(),
             line: 12,
@@ -187,7 +187,7 @@ mod tests {
             help: Some("propagate a typed error".into()),
         };
         let text = d.render();
-        assert!(text.starts_with("warning[no-panic-paths]:"));
+        assert!(text.starts_with("warning[panic-reachability]:"));
         assert!(text.contains("--> crates/store/src/format.rs:12:9"));
         assert!(text.contains("^^^^^^"));
         assert!(text.contains("= help:"));

@@ -1,14 +1,17 @@
 //! `mdrr-lint` — the workspace's own static-analysis pass.
 //!
 //! `cargo test` proves the code computes the right answers *today*;
-//! nothing in the default toolchain stops tomorrow's patch from quietly
-//! re-introducing a panic into the no-panic snapshot decoder, a float
-//! into the integer randomization kernels, an ambient-entropy draw into
-//! the deterministic-resume path, or a drift between `docs/FORMAT.md`
-//! and the constants in `crates/store/src/format.rs`.  Those are
-//! *contracts of this codebase*, not of the language, so the compiler
-//! and clippy cannot see them — this crate checks them mechanically and
-//! fails CI when they break.
+//! rustc and clippy (configured in the workspace manifest, `clippy.toml`
+//! and `#[deny]` attributes) keep panics out of the no-panic code, floats
+//! out of the integer randomization kernels and ambient clocks out of
+//! everything.  What they cannot see is a contract that spans functions
+//! or files: a panic reached *through a call chain* from the snapshot
+//! decoder, a raw record flowing toward a snapshot or a print, an
+//! unordered `HashMap` reachable from a release, an allocation inside a
+//! marked hot loop, or a drift between `docs/FORMAT.md` and the
+//! constants in `crates/store/src/format.rs`.  This crate checks those
+//! contracts mechanically and fails CI when they break (see
+//! `docs/LINTS.md`).
 //!
 //! The design is deliberately dependency-free (the workspace builds
 //! offline against vendored shims, so `syn` is not an option): a small
@@ -29,7 +32,6 @@
 //! cargo run -p mdrr-lint -- --deny-warnings
 //! ```
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod diag;

@@ -1,7 +1,6 @@
 //! The `mdrr-lint` CLI.  See `--help`, or `docs/LINTS.md` for the rule
 //! catalog.
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use mdrr_lint::diag::{report_json, Severity};
@@ -118,8 +117,11 @@ fn main() -> ExitCode {
         Some(opts.rules.as_slice())
     };
     // The ambient clock lives here, in the binary — library code takes
-    // an injected nanos closure (`no-ambient-clock-in-lib` applies to
-    // the linter too).
+    // an injected nanos closure.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the CLI times its own run; the engine takes the injected closure"
+    )]
     let epoch = std::time::Instant::now();
     let now = move || epoch.elapsed().as_nanos() as u64;
     let outcome = engine::run_timed(&ws, &rules, only, &now);

@@ -1,10 +1,9 @@
-//! **crate-hygiene** — two structural conventions every library crate in
-//! the workspace follows: (1) `src/lib.rs` opens with
-//! `#![deny(missing_docs)]` so public API grows documented-by-default,
-//! and (2) every public error enum (a `pub enum` whose name ends in
-//! `Error`) implements both `Display` and `std::error::Error`, so
-//! callers can `?`-propagate and `eprintln!("{e}")` any failure without
-//! matching on variants.
+//! **crate-hygiene** — every public error enum (a `pub enum` whose name
+//! ends in `Error`) in a workspace crate's library code implements both
+//! `Display` and `std::error::Error`, so callers can `?`-propagate and
+//! `eprintln!("{e}")` any failure without matching on variants.  (The
+//! documented-by-default half of crate hygiene is rustc's `missing_docs`,
+//! denied in `[workspace.lints]`.)
 
 use super::Rule;
 use crate::diag::Diagnostic;
@@ -20,35 +19,11 @@ impl Rule for CrateHygiene {
     }
 
     fn description(&self) -> &'static str {
-        "lib crates must deny(missing_docs); public error enums must impl Display + Error"
+        "public error enums must impl Display + std::error::Error"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         for krate in ws.crates.iter().filter(|c| !c.is_vendor) {
-            let lib_rel = if krate.rel_dir == "." {
-                "src/lib.rs".to_string()
-            } else {
-                format!("{}/src/lib.rs", krate.rel_dir)
-            };
-            if let Some(lib) = ws.file(&lib_rel) {
-                if !denies_missing_docs(lib) {
-                    out.push(
-                        Diagnostic::file_level(
-                            self.id(),
-                            &lib_rel,
-                            format!(
-                                "crate `{}` does not open with `#![deny(missing_docs)]`",
-                                krate.name
-                            ),
-                        )
-                        .with_help(
-                            "add `#![deny(missing_docs)]` under the crate docs so new public \
-                             items fail the build until documented",
-                        ),
-                    );
-                }
-            }
-
             // Collect public error enums and the trait impls present
             // anywhere in the crate's library code.
             let files: Vec<&SourceFile> = ws
@@ -109,20 +84,4 @@ impl Rule for CrateHygiene {
             }
         }
     }
-}
-
-/// True if the file carries a `#![deny(missing_docs)]` inner attribute.
-fn denies_missing_docs(file: &SourceFile) -> bool {
-    for i in 0..file.sig.len() {
-        if file.sig_text(i) == "#"
-            && file.sig_text(i + 1) == "!"
-            && file.sig_text(i + 2) == "["
-            && file.sig_text(i + 3) == "deny"
-            && file.sig_text(i + 4) == "("
-            && file.sig_text(i + 5) == "missing_docs"
-        {
-            return true;
-        }
-    }
-    false
 }

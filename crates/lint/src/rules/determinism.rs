@@ -6,11 +6,12 @@
 //! encoding, release computation, or exporter output iterates a
 //! randomly-seeded `HashMap`/`HashSet` or draws from an unseeded RNG.
 //!
-//! `seeded-rng-only` polices ambient entropy file-by-file in the four
-//! resume-critical crates; this rule follows the *call graph* from the
-//! deterministic roots, so a `HashMap` introduced three crates away
-//! from the snapshot encoder is still caught — with the chain that
-//! connects them.
+//! The vendored `rand` shim has no ambient-entropy constructor at all
+//! (no `thread_rng`, no `from_entropy`), so those names only appear if
+//! the shim is swapped for the real crate; this rule follows the *call
+//! graph* from the deterministic roots, so a `HashMap` introduced three
+//! crates away from the snapshot encoder is still caught — with the
+//! chain that connects them.
 
 use super::Rule;
 use crate::diag::Diagnostic;

@@ -1,8 +1,12 @@
 //! **Contract:** `mdrr-store` promises "no panic on any malformed
 //! input" and the `ShardedCollector` checkpoint/restore path inherits
-//! it.  The file-scoped `no-panic-paths` rule polices the promising
-//! crates' own bodies; this rule extends the promise *transitively* —
-//! no public API of `mdrr-store`, and nothing in
+//! it.  Inside the promising code, clippy's panic lints (`unwrap_used`,
+//! `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented`,
+//! `indexing_slicing`) are denied by inner attributes in
+//! `crates/store/src/lib.rs`, `crates/serve/src/lib.rs` and the stream
+//! `checkpoint`, `collector`, `wire` and `client` modules.  Clippy stops
+//! at the function boundary; this rule extends the promise
+//! *transitively* — no public API of `mdrr-store`, and nothing in
 //! `crates/stream/src/checkpoint.rs`, may reach an explicit panic
 //! anywhere in the workspace through any call chain.
 //!
@@ -11,9 +15,9 @@
 //! slice indexing and `assert!` are deliberately *not* propagated across
 //! calls — the validated numeric kernels index slices pervasively under
 //! proven bounds, and flagging them transitively would drown the signal
-//! (inside the promising files themselves, `no-panic-paths` still flags
-//! indexing).  Panic sites inside the file-scoped rule's own
-//! jurisdiction are skipped here so one defect is one finding.
+//! (inside the promising code itself, `clippy::indexing_slicing` still
+//! flags indexing).  Panic sites in code that carries the clippy panic
+//! set are skipped here, so one defect is one finding.
 
 use super::Rule;
 use crate::diag::Diagnostic;
@@ -37,11 +41,19 @@ fn is_root(def: &FnDef) -> bool {
         || def.rel == "crates/stream/src/checkpoint.rs"
 }
 
-/// Whether `def`'s panic sites belong to the file-scoped
-/// `no-panic-paths` rule instead of this one.
+/// Whether `def`'s panic sites are already denied by clippy's panic set:
+/// the library code of `mdrr-store` and `mdrr-serve`, and the stream
+/// checkpoint/collector/wire/client modules.
 fn in_file_rule_scope(def: &FnDef) -> bool {
-    (def.crate_name == "mdrr-store" && def.kind == FileKind::LibSrc)
-        || def.rel == "crates/stream/src/checkpoint.rs"
+    ((def.crate_name == "mdrr-store" || def.crate_name == "mdrr-serve")
+        && def.kind == FileKind::LibSrc)
+        || matches!(
+            def.rel.as_str(),
+            "crates/stream/src/checkpoint.rs"
+                | "crates/stream/src/collector.rs"
+                | "crates/stream/src/wire.rs"
+                | "crates/stream/src/client.rs"
+        )
 }
 
 impl Rule for PanicReachability {

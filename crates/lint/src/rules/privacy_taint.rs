@@ -32,14 +32,12 @@ const RAW_TYPES: &[&str] = &["Dataset", "RecordsView", "RecordsBuffer"];
 /// Methods that, called on a raw value, yield raw data (rather than
 /// benign metadata like `len()` or `schema()`).
 const RAW_ACCESSORS: &[&str] = &[
-    "records",
     "record",
     "view",
     "column",
     "columns",
     "read_record",
     "slice",
-    "record_chunks",
     "column_chunks",
     "iter",
     "clone",

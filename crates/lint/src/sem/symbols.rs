@@ -217,11 +217,6 @@ impl SymbolTable {
         &self.fns[id]
     }
 
-    /// Whether `name` is a type that owns methods in the workspace.
-    pub fn is_known_type(&self, name: &str) -> bool {
-        self.known_types.contains(name)
-    }
-
     /// The first workspace type name mentioned in a type text
     /// (`&mut RecordsView<'a>` → `RecordsView`), if any.
     pub fn type_in_text(&self, ty: &str) -> Option<String> {

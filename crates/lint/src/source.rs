@@ -419,12 +419,11 @@ mod tests {
 
     #[test]
     fn comma_lists_open_multiple_regions() {
-        let f = file(
-            "// lint:region(no_alloc, no_float)\nlet x = 1;\n// lint:endregion(no_alloc, no_float)\n",
-        );
+        let f =
+            file("// lint:region(no_alloc, hot)\nlet x = 1;\n// lint:endregion(no_alloc, hot)\n");
         assert_eq!(f.regions.len(), 2);
         let at = f.text.find("let x").unwrap();
-        assert!(f.in_region("no_alloc", at) && f.in_region("no_float", at));
+        assert!(f.in_region("no_alloc", at) && f.in_region("hot", at));
     }
 
     #[test]
@@ -438,21 +437,23 @@ mod tests {
 
     #[test]
     fn allow_requires_a_reason() {
-        let f = file("// lint:allow(no-panic-paths)\nx.unwrap();\n");
+        let f = file("// lint:allow(panic-reachability)\nx.unwrap();\n");
         assert_eq!(f.suppressions.len(), 0);
         assert!(f.directive_errors[0].message.contains("carries no reason"));
 
-        let g =
-            file("// lint:allow(no-panic-paths, reason = \"bounds checked above\")\nx.unwrap();\n");
+        let g = file(
+            "// lint:allow(panic-reachability, reason = \"bounds checked above\")\nx.unwrap();\n",
+        );
         assert!(g.directive_errors.is_empty());
         assert_eq!(g.suppressions.len(), 1);
-        assert_eq!(g.suppressions[0].rule, "no-panic-paths");
+        assert_eq!(g.suppressions[0].rule, "panic-reachability");
         assert_eq!(g.suppressions[0].covers_line, 2);
     }
 
     #[test]
     fn trailing_allow_covers_its_own_line() {
-        let g = file("x.unwrap(); // lint:allow(no-panic-paths, reason = \"test fixture only\")\n");
+        let g =
+            file("x.unwrap(); // lint:allow(panic-reachability, reason = \"test fixture only\")\n");
         assert_eq!(g.suppressions[0].covers_line, 1);
     }
 

@@ -1,5 +1,5 @@
-//! Fixture lib.rs: no `#![deny(missing_docs)]`, and a public error enum
-//! with neither `Display` nor `std::error::Error`.
+//! Fixture lib.rs: a public error enum with neither `Display` nor
+//! `std::error::Error`.
 
 /// Failure modes of the fixture crate.
 pub enum FixtureError {

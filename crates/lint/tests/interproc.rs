@@ -150,7 +150,7 @@ fn panic_reachability_crosses_crates_but_skips_the_file_rule_scope() {
     ];
     let diags = lint("panic-reachability", violating);
     // Exactly one finding: the helper's unwrap.  The unwrap inside the
-    // store file itself belongs to file-scoped no-panic-paths.
+    // store file itself is clippy's (`unwrap_used` is denied there).
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].file, "crates/math/src/lib.rs");
     assert!(

@@ -29,7 +29,7 @@ const FRAGMENTS: &[&str] = &[
     "1..10",
     "ident_a",
     "r#match",
-    "=> :: .. ..= #![deny(missing_docs)]",
+    "=> :: .. ..= #![forbid(unsafe_code)]",
     "\u{1F600}",
     "é∂å",
     "\n",

@@ -18,71 +18,6 @@ fn lint_one(rule: &str, rel: &str, text: &str) -> (Vec<Diagnostic>, usize) {
 }
 
 #[test]
-fn no_panic_paths_fires_on_every_panic_form() {
-    let (diags, _) = lint_one(
-        "no-panic-paths",
-        "crates/store/src/fixture.rs",
-        include_str!("fixtures/no_panic_paths/violating.rs"),
-    );
-    assert_eq!(diags.len(), 5, "unexpected: {diags:#?}");
-    let all = diags
-        .iter()
-        .map(|d| d.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(all.contains(".unwrap"));
-    assert!(all.contains(".expect"));
-    assert!(all.contains("unreachable"));
-    assert!(all.contains("slice indexing"));
-}
-
-#[test]
-fn no_panic_paths_is_silent_on_typed_errors_tests_and_reasoned_allows() {
-    let (diags, suppressed) = lint_one(
-        "no-panic-paths",
-        "crates/store/src/fixture.rs",
-        include_str!("fixtures/no_panic_paths/conforming.rs"),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-    assert_eq!(
-        suppressed, 1,
-        "the reasoned allow should absorb the masked index"
-    );
-}
-
-#[test]
-fn no_panic_paths_ignores_out_of_scope_crates() {
-    let (diags, _) = lint_one(
-        "no-panic-paths",
-        "crates/eval/src/fixture.rs",
-        include_str!("fixtures/no_panic_paths/violating.rs"),
-    );
-    assert!(diags.is_empty(), "eval code carries no no-panic contract");
-}
-
-#[test]
-fn no_float_in_kernel_fires_on_types_and_literals() {
-    let (diags, _) = lint_one(
-        "no-float-in-kernel",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/no_float_in_kernel/violating.rs"),
-    );
-    assert_eq!(diags.len(), 5, "unexpected: {diags:#?}");
-    assert!(diags.iter().any(|d| d.message.contains("float literal")));
-    assert!(diags.iter().any(|d| d.message.contains("`f64`")));
-}
-
-#[test]
-fn no_float_in_kernel_allows_floats_outside_the_region() {
-    let (diags, _) = lint_one(
-        "no-float-in-kernel",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/no_float_in_kernel/conforming.rs"),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
 fn no_alloc_in_hot_loop_fires_on_the_allocating_vocabulary() {
     let (diags, _) = lint_one(
         "no-alloc-in-hot-loop",
@@ -112,121 +47,13 @@ fn no_alloc_in_hot_loop_allows_hoisted_buffers() {
 }
 
 #[test]
-fn seeded_rng_only_fires_on_ambient_entropy() {
-    let (diags, _) = lint_one(
-        "seeded-rng-only",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/seeded_rng_only/violating.rs"),
-    );
-    assert_eq!(diags.len(), 2, "unexpected: {diags:#?}");
-    let all = diags
-        .iter()
-        .map(|d| d.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(all.contains("thread_rng"));
-    assert!(all.contains("from_entropy"));
-}
-
-#[test]
-fn seeded_rng_only_allows_explicit_seeds_and_test_clocks() {
-    let (diags, _) = lint_one(
-        "seeded-rng-only",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/seeded_rng_only/conforming.rs"),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn no_ambient_clock_fires_on_both_clock_types() {
-    let (diags, _) = lint_one(
-        "no-ambient-clock-in-lib",
-        "crates/eval/src/fixture.rs",
-        include_str!("fixtures/no_ambient_clock/violating.rs"),
-    );
-    assert_eq!(diags.len(), 2, "unexpected: {diags:#?}");
-    let all = diags
-        .iter()
-        .map(|d| d.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(all.contains("Instant"));
-    assert!(all.contains("SystemTime"));
-}
-
-#[test]
-fn no_ambient_clock_accepts_injected_clocks_and_test_timing() {
-    let (diags, _) = lint_one(
-        "no-ambient-clock-in-lib",
-        "crates/eval/src/fixture.rs",
-        include_str!("fixtures/no_ambient_clock/conforming.rs"),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn no_ambient_clock_exempts_the_obs_boundary_crate() {
-    let (diags, _) = lint_one(
-        "no-ambient-clock-in-lib",
-        "crates/obs/src/fixture.rs",
-        include_str!("fixtures/no_ambient_clock/violating.rs"),
-    );
-    assert!(
-        diags.is_empty(),
-        "mdrr-obs owns the one ambient clock read: {diags:#?}"
-    );
-}
-
-#[test]
-fn no_ambient_clock_exempts_binaries() {
-    let (diags, _) = lint_one(
-        "no-ambient-clock-in-lib",
-        "crates/bench/src/bin/fixture.rs",
-        include_str!("fixtures/no_ambient_clock/violating.rs"),
-    );
-    assert!(diags.is_empty(), "bin sources are not lib code: {diags:#?}");
-}
-
-#[test]
-fn safety_comments_fires_on_undocumented_unsafe() {
-    let (diags, _) = lint_one(
-        "safety-comments",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/safety_comments/violating.rs"),
-    );
-    assert_eq!(diags.len(), 3, "unexpected: {diags:#?}");
-    let all = diags
-        .iter()
-        .map(|d| d.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(all.contains("unsafe block"));
-    assert!(all.contains("unsafe impl"));
-    assert!(all.contains("unsafe trait"));
-}
-
-#[test]
-fn safety_comments_accepts_adjacent_safety_comments() {
-    let (diags, _) = lint_one(
-        "safety-comments",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/safety_comments/conforming.rs"),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn crate_hygiene_fires_on_missing_attribute_and_bare_error_enum() {
+fn crate_hygiene_fires_on_a_bare_error_enum() {
     let (diags, _) = lint_one(
         "crate-hygiene",
         "crates/hygiene/src/lib.rs",
         include_str!("fixtures/crate_hygiene/violating.rs"),
     );
-    assert_eq!(diags.len(), 2, "unexpected: {diags:#?}");
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("deny(missing_docs)")));
+    assert_eq!(diags.len(), 1, "unexpected: {diags:#?}");
     assert!(diags.iter().any(|d| d.message.contains("FixtureError")
         && d.message.contains("`Display`")
         && d.message.contains("`std::error::Error`")));
@@ -238,43 +65,6 @@ fn crate_hygiene_accepts_wired_crates() {
         "crate-hygiene",
         "crates/hygiene/src/lib.rs",
         include_str!("fixtures/crate_hygiene/conforming.rs"),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn no_deprecated_ingest_fires_outside_the_data_crate() {
-    let (diags, _) = lint_one(
-        "no-deprecated-ingest",
-        "crates/stream/src/fixture.rs",
-        include_str!("fixtures/no_deprecated_ingest/violating.rs"),
-    );
-    assert_eq!(diags.len(), 2, "unexpected: {diags:#?}");
-    let all = diags
-        .iter()
-        .map(|d| d.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(all.contains("records"));
-    assert!(all.contains("record_chunks"));
-}
-
-#[test]
-fn no_deprecated_ingest_exempts_the_definition_site() {
-    let (diags, _) = lint_one(
-        "no-deprecated-ingest",
-        "crates/data/src/fixture.rs",
-        include_str!("fixtures/no_deprecated_ingest/violating.rs"),
-    );
-    assert!(diags.is_empty(), "the accessors' home crate is exempt");
-}
-
-#[test]
-fn no_deprecated_ingest_accepts_the_supported_paths() {
-    let (diags, _) = lint_one(
-        "no-deprecated-ingest",
-        "crates/stream/src/fixture.rs",
-        include_str!("fixtures/no_deprecated_ingest/conforming.rs"),
     );
     assert!(diags.is_empty(), "unexpected: {diags:#?}");
 }

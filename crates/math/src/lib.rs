@@ -43,9 +43,7 @@
 //! # Ok::<(), mdrr_math::MathError>(())
 //! ```
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod chi2;
 pub mod contingency;

@@ -1,13 +1,18 @@
 //! The injectable monotonic clock boundary.
 //!
-//! Library crates on the deterministic-resume path must never read
-//! ambient time themselves (the `no-ambient-clock-in-lib` lint forbids
-//! `Instant`/`SystemTime` there): they accept a `&dyn Clock` /
+//! Workspace code must never read ambient time itself (clippy's
+//! `disallowed_types`, configured in the root `clippy.toml`, forbids
+//! `Instant`/`SystemTime`): it accepts a `&dyn Clock` /
 //! `Arc<dyn Clock>` from the caller instead.  This module is the single
 //! reasoned place in the workspace where `std::time::Instant` is read —
 //! behind [`MonotonicClock`] — so a grep for clock sources has exactly
 //! one hit, and swapping the time source (tests, simulation, `NullClock`
 //! production-off mode) is a constructor argument, not a code change.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one clock boundary: `MonotonicClock` wraps `Instant` behind the `Clock` trait"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

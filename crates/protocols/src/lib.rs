@@ -65,7 +65,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 pub mod adjustment;
 pub mod clustering;

@@ -5,7 +5,7 @@ use mdrr_stream::MAX_WIRE_PAYLOAD;
 /// Configuration of a [`crate::CollectorServer`].
 ///
 /// All durations are injected-clock nanoseconds: the daemon never reads
-/// ambient time (the `no-ambient-clock-in-lib` lint forbids it here), so
+/// ambient time (clippy's `disallowed_types` forbids `Instant`), so
 /// a test can drive every timeout with a manual clock.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {

@@ -52,7 +52,16 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// The daemon faces attacker-controlled bytes: every failure is typed.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod config;
 pub mod error;

@@ -1,5 +1,8 @@
 //! Shared fixtures for the serve integration suites.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite includes this module and uses a different subset of it"
+)]
 
 use mdrr_data::{Attribute, Schema};
 use mdrr_obs::MonotonicClock;

@@ -242,7 +242,6 @@ impl FaultPlan {
     /// SplitMix64 stream (no ambient randomness).  Crash-class faults are
     /// excluded — random soak plans exercise transients, torn writes and
     /// lying syncs, while crashes are scripted deliberately.
-    // lint:allow(seeded-rng-only, reason = "every draw derives from the explicit `seed` parameter via SplitMix64; the name `random` describes the plan shape, not an ambient RNG")
     pub fn random(seed: u64, op_bound: u64, n_faults: usize) -> Self {
         let bound = op_bound.max(1);
         let mut state = seed;

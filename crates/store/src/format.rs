@@ -49,6 +49,10 @@ const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 /// whole 8-byte word.
 const CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated with row < 8 and byte < 256; an out-of-range index fails the build, it cannot run"
+)]
 const fn crc64_tables() -> [[u64; 256]; 8] {
     let mut tables = [[0u64; 256]; 8];
     let mut byte = 0;
@@ -66,7 +70,6 @@ const fn crc64_tables() -> [[u64; 256]; 8] {
                 };
                 bit += 1;
             }
-            // lint:allow(no-panic-paths, reason = "const-evaluated with row < 8 and byte < 256; an out-of-range index fails the build, it cannot run")
             tables[row][byte] = crc;
             row += 1;
         }
@@ -77,8 +80,11 @@ const fn crc64_tables() -> [[u64; 256]; 8] {
 
 /// One table lookup.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a u8 index is at most 255 and every row has 256 slots"
+)]
 fn lookup(row: &[u64; 256], byte: u8) -> u64 {
-    // lint:allow(no-panic-paths, reason = "a u8 index is at most 255 and every row has 256 slots")
     row[byte as usize]
 }
 

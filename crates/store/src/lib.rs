@@ -71,7 +71,16 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No panic on any malformed input: every failure is a typed `StoreError`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod backend;
 pub mod error;

@@ -25,6 +25,16 @@
 //! lying disk — [`mdrr_store::salvage_checkpoint`] rebuilds a manifest
 //! from the surviving shard files.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::accumulator::Accumulator;
 use crate::collector::ShardedCollector;
 use crate::error::MdrrError;

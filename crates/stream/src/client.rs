@@ -17,6 +17,16 @@
 //! drain checkpoint); [`WireClient::acked_reports`] is the client-side
 //! ledger the fault tests audit against restored checkpoints.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::batch::ReportBatch;
 use crate::wire::{self, FrameType, Hello, HelloAck, StatsReply, WireError};
 use mdrr_data::Schema;

@@ -16,6 +16,16 @@
 //! [`mdrr_protocols::Protocol`] — the paper's three mechanisms today, any
 //! future backend unchanged.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::accumulator::Accumulator;
 use crate::batch::ReportBatch;
 use crate::error::MdrrError;

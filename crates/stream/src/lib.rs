@@ -77,7 +77,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 pub mod accumulator;
 pub mod batch;

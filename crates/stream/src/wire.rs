@@ -29,6 +29,16 @@
 //! buffer; handshake and query payloads are serde JSON, like the snapshot
 //! header.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use mdrr_data::Schema;

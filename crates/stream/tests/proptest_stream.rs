@@ -20,8 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Rows of `ds` materialized through the supported `record(i)` accessor
-/// (the deprecated `records()` iterator is lint-gated).
+/// Rows of `ds` materialized through the `record(i)` accessor.
 fn all_records(ds: &Dataset) -> Vec<Vec<u32>> {
     (0..ds.n_records())
         .map(|i| ds.record(i).expect("index in range"))

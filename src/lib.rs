@@ -65,9 +65,7 @@
 //! For multi-attribute releases see [`protocols::RRIndependent`],
 //! [`protocols::RRClusters`] and the runnable programs in `examples/`.
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub use mdrr_core as core;
 pub use mdrr_data as data;
