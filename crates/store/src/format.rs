@@ -88,15 +88,97 @@ fn lookup(row: &[u64; 256], byte: u8) -> u64 {
     row[byte as usize]
 }
 
+/// One slice-by-8 step: XOR the 8-byte little-endian `word` into the
+/// register and fold it through the eight tables at once.
+#[inline(always)]
+fn step(crc: u64, word: &[u8; 8]) -> u64 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC64_TABLES;
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = (u64::from_le_bytes(*word) ^ crc).to_le_bytes();
+    lookup(t7, b0)
+        ^ lookup(t6, b1)
+        ^ lookup(t5, b2)
+        ^ lookup(t4, b3)
+        ^ lookup(t3, b4)
+        ^ lookup(t2, b5)
+        ^ lookup(t1, b6)
+        ^ lookup(t0, b7)
+}
+
+/// The raw register update over `bytes` (no initial value, no output
+/// xor): slice-by-8 over whole words, then the 0–7 trailing bytes one at
+/// a time through row 0.
+fn update(mut crc: u64, bytes: &[u8]) -> u64 {
+    let [t0, ..] = &CRC64_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for word in words {
+        crc = step(crc, word);
+    }
+    for &b in tail {
+        crc = lookup(t0, crc as u8 ^ b) ^ (crc >> 8);
+    }
+    crc
+}
+
+/// `a · b mod P` over GF(2), both operands in the reflected bit order of
+/// the CRC register (bit 63 is x⁰): shift-and-xor, one bit of `a` per
+/// step, with `b` multiplied by x (one zero-bit register step) between.
+const fn gf2_mul(a: u64, mut b: u64) -> u64 {
+    let mut product = 0u64;
+    let mut bit = 1u64 << 63;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 == 1 {
+            (b >> 1) ^ CRC64_POLY
+        } else {
+            b >> 1
+        };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `x^(8n) mod P` by square-and-multiply: multiplying a register by it
+/// carries the register past `n` zero bytes, in O(log n) multiplies.
+const fn x_pow_8n(mut n: u64) -> u64 {
+    let mut power = 1u64 << 63; // x⁰
+    let mut square = 1u64 << (63 - 8); // x^(8·2^k), starting at x⁸
+    while n != 0 {
+        if n & 1 == 1 {
+            power = gf2_mul(square, power);
+        }
+        square = gf2_mul(square, square);
+        n >>= 1;
+    }
+    power
+}
+
+/// Bytes per lane of the interleaved kernel; a block is four lanes.
+/// Four 4 KiB lanes measured fastest on a 131,120-byte wire frame,
+/// against three lanes of 2 or 4 KiB and four of 0.5–2 KiB.
+const LANE_BYTES: usize = 4096;
+
+/// Bytes per block: four lanes.
+const BLOCK_BYTES: usize = 4 * LANE_BYTES;
+
+/// `x^(8·LANE_BYTES) mod P`: carries a lane register past one lane.
+const LANE_SHIFT: u64 = x_pow_8n(LANE_BYTES as u64);
+
 /// CRC-64/XZ (also known as CRC-64/GO-ECMA): reflected polynomial
 /// `0xC96C5795D7870F42`, initial value `!0`, output
 /// xor `!0`.  This is the checksum at the tail of every snapshot; it is
 /// also exposed so external implementations of the format can test their
 /// own checksummers against this one.
 ///
-/// Slice-by-8: each 8-byte little-endian word is XORed into the register
-/// and folded through the eight tables at once; the 0–7 trailing bytes
-/// go through row 0 one at a time.
+/// A CRC is linear over GF(2), so each 16 KiB block is split into four
+/// 4 KiB lanes that run the slice-by-8 step side by side — four
+/// independent dependency chains instead of one.  Lane 0 starts from
+/// the running register and lanes 1–3 from zero; the lane registers are
+/// then combined by multiplying by the constant `x^(8·4096) mod P`,
+/// the interleave-and-combine scheme of Gopal et al. (Intel, 2011) and
+/// zlib's `crc32_combine`.  Inputs shorter than a block, and the tail
+/// after the last block, go through the slice-by-8 step alone.
 ///
 /// ```
 /// // The standard check vector of CRC-64/XZ:
@@ -104,24 +186,50 @@ fn lookup(row: &[u64; 256], byte: u8) -> u64 {
 /// assert_eq!(mdrr_store::crc64(b""), 0);
 /// ```
 pub fn crc64(bytes: &[u8]) -> u64 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC64_TABLES;
-    let (words, tail) = bytes.as_chunks::<8>();
+    let (lanes, _) = bytes.as_chunks::<LANE_BYTES>();
+    let (blocks, _) = lanes.as_chunks::<4>();
     let mut crc = !0u64;
-    for word in words {
-        let [b0, b1, b2, b3, b4, b5, b6, b7] = (u64::from_le_bytes(*word) ^ crc).to_le_bytes();
-        crc = lookup(t7, b0)
-            ^ lookup(t6, b1)
-            ^ lookup(t5, b2)
-            ^ lookup(t4, b3)
-            ^ lookup(t3, b4)
-            ^ lookup(t2, b5)
-            ^ lookup(t1, b6)
-            ^ lookup(t0, b7);
+    for [l0, l1, l2, l3] in blocks {
+        let (w0, w1, w2, w3) = (
+            l0.as_chunks::<8>().0,
+            l1.as_chunks::<8>().0,
+            l2.as_chunks::<8>().0,
+            l3.as_chunks::<8>().0,
+        );
+        let (mut c0, mut c1, mut c2, mut c3) = (crc, 0, 0, 0);
+        for (((w0, w1), w2), w3) in w0.iter().zip(w1).zip(w2).zip(w3) {
+            c0 = step(c0, w0);
+            c1 = step(c1, w1);
+            c2 = step(c2, w2);
+            c3 = step(c3, w3);
+        }
+        crc = gf2_mul(LANE_SHIFT, c0) ^ c1;
+        crc = gf2_mul(LANE_SHIFT, crc) ^ c2;
+        crc = gf2_mul(LANE_SHIFT, crc) ^ c3;
     }
-    for &b in tail {
-        crc = lookup(t0, crc as u8 ^ b) ^ (crc >> 8);
-    }
-    !crc
+    !update(crc, bytes.get(blocks.len() * BLOCK_BYTES..).unwrap_or(&[]))
+}
+
+/// The CRC-64/XZ of a message after `delta` is XORed into it, computed
+/// from the message's old checksum `crc` alone: `bytes_after` is the
+/// number of message bytes that follow the patched range.  The message
+/// length does not change.
+///
+/// By linearity, `crc64(M ⊕ D) = crc64(M) ⊕ raw(D)`, where `raw` is the
+/// register update with initial value 0 and no output xor; leading zero
+/// bytes of `D` leave that register at 0 and trailing ones multiply it by
+/// `x^(8·bytes_after) mod P`.  The cost is one pass over `delta` plus
+/// O(log `bytes_after`) GF(2) multiplies, however long the message.  A
+/// checksum that was wrong before the patch stays exactly as wrong.
+///
+/// ```
+/// let mut message = *b"123456789";
+/// let old = mdrr_store::crc64(&message);
+/// message[2] ^= 0x5A;
+/// assert_eq!(mdrr_store::crc64_patch(old, &[0x5A], 6), mdrr_store::crc64(&message));
+/// ```
+pub fn crc64_patch(crc: u64, delta: &[u8], bytes_after: usize) -> u64 {
+    crc ^ gf2_mul(x_pow_8n(bytes_after as u64), update(0, delta))
 }
 
 /// Serializes a snapshot into the on-disk byte layout (header, channel

@@ -95,7 +95,7 @@ pub mod snapshot;
 
 pub use backend::{Fault, FaultKind, FaultPlan, FaultyBackend, OsBackend, StorageBackend};
 pub use error::{IoClass, StoreError};
-pub use format::{crc64, FORMAT_VERSION, MAGIC};
+pub use format::{crc64, crc64_patch, FORMAT_VERSION, MAGIC};
 pub use io::{atomic_write, SnapshotReader, SnapshotWriter, Storage};
 pub use manifest::{
     next_generation, parse_shard_file_name, shard_file_name, CheckpointManifest, MANIFEST_FILE,

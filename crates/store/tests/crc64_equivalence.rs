@@ -1,13 +1,16 @@
-//! Equivalence of the slice-by-8 `crc64` kernel with a bit-at-a-time
-//! CRC-64/XZ reference.
+//! Equivalence of the interleaved `crc64` kernel and of `crc64_patch`
+//! with a bit-at-a-time CRC-64/XZ reference.
 //!
 //! The reference below has the same definition as
 //! `mdrr_lint::rules::spec_sync::crc64_with` (reflected, init `!0`,
 //! xor-out `!0`), which checks the polynomial in docs/FORMAT.md against
 //! its documented check vector.  The kernel must agree with it on every
-//! input length, every alignment and every tail length 0–7.
+//! input length, every alignment and every tail length 0–7, and on both
+//! sides of every block boundary, where the four lane registers are
+//! combined; `crc64_patch` must agree with recomputing the patched
+//! message.
 
-use mdrr_store::crc64;
+use mdrr_store::{crc64, crc64_patch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,13 +40,49 @@ fn reference_matches_the_published_check_vector() {
     assert_eq!(crc64_bitwise(b""), 0);
 }
 
+/// The kernel's block: four lanes of 4 KiB.
+const BLOCK: usize = 4 * 4096;
+
+fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen()).collect()
+}
+
 #[test]
 fn wire_bulk_sized_buffer_matches_the_reference() {
-    // About one 4,096-report, 8-channel batch frame (20 + 20 +
-    // 4,096 × 8 × 4 + 8 = 131,120 bytes); 131,100 leaves a 4-byte tail.
-    let mut rng = StdRng::seed_from_u64(0x00C0_FFEE);
-    let bytes: Vec<u8> = (0..131_100).map(|_| rng.gen()).collect();
-    assert_eq!(crc64(&bytes), crc64_bitwise(&bytes));
+    // One 4,096-report, 8-channel batch frame is 20 + 20 +
+    // 4,096 × 8 × 4 + 8 = 131,120 bytes; 131,100 leaves a 4-byte tail.
+    let bytes = random_bytes(0x00C0_FFEE, 131_120);
+    for len in [131_100, 131_112, 131_120] {
+        assert_eq!(
+            crc64(&bytes[..len]),
+            crc64_bitwise(&bytes[..len]),
+            "length {len}"
+        );
+    }
+}
+
+#[test]
+fn every_length_within_9_of_a_block_multiple_matches_the_reference() {
+    // k·block + (−9..=+9) for k = 0..=3, from eight start offsets: the
+    // short-input path, the lane combine after one to three blocks, and
+    // every tail length on either side.
+    let bytes = random_bytes(0x0B10_C4ED, 3 * BLOCK + 9 + 8);
+    for k in 0..=3usize {
+        for delta in -9isize..=9 {
+            let Some(len) = (k * BLOCK).checked_add_signed(delta) else {
+                continue;
+            };
+            for start in 0..8 {
+                let input = &bytes[start..start + len];
+                assert_eq!(
+                    crc64(input),
+                    crc64_bitwise(input),
+                    "length {k}·block{delta:+}, start {start}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -81,5 +120,25 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn crc64_patch_matches_recomputing_the_patched_message(
+        seed in any::<u64>(),
+        len in 1usize..3 * BLOCK,
+        at in any::<u64>(),
+        width in 1usize..24,
+    ) {
+        let mut message = random_bytes(seed, len);
+        let old = crc64(&message);
+        let offset = (at % len as u64) as usize;
+        let width = width.min(len - offset);
+        let delta = random_bytes(!seed, width);
+        for (byte, d) in message[offset..offset + width].iter_mut().zip(&delta) {
+            *byte ^= d;
+        }
+        let patched = crc64_patch(old, &delta, len - offset - width);
+        prop_assert_eq!(patched, crc64(&message), "offset {}, width {}", offset, width);
+        prop_assert_eq!(patched, crc64_bitwise(&message));
     }
 }

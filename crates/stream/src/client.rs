@@ -281,6 +281,9 @@ impl WireClient {
     /// number in place — the zero-re-encode hot path of the remote
     /// benchmark.  `reports` must equal the report count the frame
     /// declares (it feeds the [`WireClient::acked_reports`] ledger).
+    /// The re-seal carries the frame's checksum forward instead of
+    /// re-hashing it, so a frame altered after it was sealed is still
+    /// refused by the daemon.
     ///
     /// # Errors
     /// [`wire::set_batch_seq`]'s errors for a buffer that is not exactly

@@ -43,7 +43,7 @@ use crate::batch::ReportBatch;
 use crate::error::MdrrError;
 use mdrr_data::Schema;
 use mdrr_protocols::ProtocolSpec;
-use mdrr_store::crc64;
+use mdrr_store::{crc64, crc64_patch};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -779,12 +779,17 @@ pub fn decode_batch_payload(
 
 /// Rewrites the sequence number inside a pre-encoded *batch frame*
 /// (header + payload + CRC, as produced by [`encode_frame`] over
-/// [`encode_batch_payload`]) and recomputes the trailing CRC.  This lets
-/// a sender reuse one encoded frame across many sends — the remote
+/// [`encode_batch_payload`]) and re-seals the trailing CRC.  This lets a
+/// sender reuse one encoded frame across many sends — the remote
 /// benchmark's hot path.
 ///
 /// The header is validated first, so only a buffer holding exactly one
-/// batch frame is ever re-sealed; the old checksum is not verified.
+/// batch frame is ever re-sealed.  The new checksum is derived from the
+/// old one by linearity ([`mdrr_store::crc64_patch`] over the XOR of the
+/// old and new seq), in O(log n) instead of a pass over the frame, so
+/// the old checksum's verdict carries forward: a frame whose checksum
+/// matched its contents still matches, and a frame whose bytes changed
+/// after it was sealed still fails the receiver's check.
 ///
 /// # Errors
 /// Any [`decode_header`] error; [`WireError::UnexpectedFrame`] for a
@@ -794,16 +799,23 @@ pub fn decode_batch_payload(
 /// batch payload header.
 pub fn set_batch_seq(frame: &mut [u8], seq: u64) -> Result<(), WireError> {
     batch_frame_n_reports(frame)?;
-    if let Some(seq_slot) = frame.get_mut(WIRE_HEADER_LEN..WIRE_HEADER_LEN + 8) {
-        for (dst, src) in seq_slot.iter_mut().zip(seq.to_le_bytes().iter()) {
-            *dst = *src;
-        }
-    }
     let body_len = frame.len().saturating_sub(WIRE_TRAILER_LEN);
-    let crc = crc64(frame.get(..body_len).unwrap_or(frame));
-    if let Some(trailer) = frame.get_mut(body_len..) {
-        for (dst, src) in trailer.iter_mut().zip(crc.to_le_bytes().iter()) {
-            *dst = *src;
+    let seq_end = WIRE_HEADER_LEN + 8;
+    let old_seq = Cursor::new(frame_payload(frame)).take_u64()?;
+    let old_crc = Cursor::new(frame.get(body_len..).unwrap_or(&[])).take_u64()?;
+    let crc = crc64_patch(
+        old_crc,
+        &(old_seq ^ seq).to_le_bytes(),
+        body_len.saturating_sub(seq_end),
+    );
+    for (range, value) in [
+        (WIRE_HEADER_LEN..seq_end, seq),
+        (body_len..frame.len(), crc),
+    ] {
+        if let Some(slot) = frame.get_mut(range) {
+            for (dst, src) in slot.iter_mut().zip(value.to_le_bytes().iter()) {
+                *dst = *src;
+            }
         }
     }
     Ok(())
@@ -952,30 +964,31 @@ pub fn read_frame<R: Read>(
 /// Returns `Ok(false)` on EOF before the first byte (clean close); EOF
 /// after that is [`WireError::Closed`].  Never reads past `target`, so
 /// back-to-back frames on one stream are never split.
+///
+/// Bytes land straight in `buf`'s spare capacity.  The capacity grows
+/// with the bytes that have arrived (to at most twice them or 8 KiB
+/// more, never past `target`), so a checked header that declares a large
+/// payload buys no allocation until the payload bytes actually come.
 fn fill<R: Read>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     target: usize,
     wait: &mut dyn FnMut(usize) -> Result<(), WireError>,
 ) -> Result<bool, WireError> {
-    let mut chunk = [0u8; 8192];
     while buf.len() < target {
-        let want = (target - buf.len()).min(chunk.len());
-        let dst = match chunk.get_mut(..want) {
-            Some(dst) => dst,
-            None => return Err(WireError::malformed("internal: read chunk sizing")),
-        };
-        match reader.read(dst) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(false);
-                }
+        let before = buf.len();
+        buf.reserve_exact((target - before).min(before.max(8192)));
+        let room = buf.capacity().min(target) - before;
+        // `read_to_end` keeps every byte it read when it returns an error.
+        match reader.by_ref().take(room as u64).read_to_end(buf) {
+            Ok(_) if buf.len() == before + room => {}
+            Ok(_) if buf.is_empty() => return Ok(false),
+            Ok(_) => {
                 return Err(WireError::closed(format!(
                     "peer closed mid-frame after {} of {target} bytes",
                     buf.len()
-                )));
+                )))
             }
-            Ok(n) => buf.extend_from_slice(dst.get(..n).unwrap_or(dst)),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if matches!(
