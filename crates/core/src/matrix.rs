@@ -76,7 +76,11 @@ const TALLY_BANK_WIDTH: usize = 64;
 ///
 /// Everything is integer arithmetic — no float conversion, no division in
 /// the hot loop — which is what lets the batched encoders run the kernel
-/// at a few cycles per value.
+/// at a few cycles per value.  The batched kernel ([`sample_uniform_raw`])
+/// selects between the kept value and an always-computed redraw, because
+/// the keep test is a coin flip a branch predictor loses on every redraw;
+/// the scalar [`RRMatrix::randomize`] keeps its branch, since there the
+/// redraw arm includes the u128 division behind `redraw_scale`.
 #[inline]
 fn uniform_row_constants(r: usize, diag: f64) -> (u64, u128) {
     let threshold = uniform_threshold(r, diag);
@@ -119,11 +123,17 @@ fn uniform_redraw_scale(r: usize, threshold: u64) -> u128 {
 /// onto one of the `r − 1` categories other than `true_value`.  Shared by
 /// the batched kernel and the scalar path so their arithmetic can never
 /// diverge.
+///
+/// Every step wraps because the batched kernel also evaluates this arm
+/// for kept draws (`hi < threshold`) and then discards the result.  For a
+/// draw that is actually redrawn nothing wraps (`hi − threshold < span`,
+/// so the product stays below `(r − 1) · 2⁶⁴` and `idx < r − 1`), and the
+/// code is exactly the plain arithmetic.
 #[inline]
 #[deny(clippy::float_arithmetic)]
 fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) -> u32 {
-    let idx = (((hi - threshold) as u128 * redraw_scale) >> 64) as u32;
-    idx + u32::from(idx >= true_value)
+    let idx = (u128::from(hi.wrapping_sub(threshold)).wrapping_mul(redraw_scale) >> 64) as u32;
+    idx.wrapping_add(u32::from(idx >= true_value))
 }
 
 /// The fused keep/redraw kernel of the uniform-perturbation form: maps one
@@ -137,14 +147,20 @@ fn uniform_redraw(threshold: u64, redraw_scale: u128, true_value: u32, hi: u64) 
 /// draw per value, no data-dependent extra draws; this is the draw
 /// discipline both the per-record and the batched encoders share, which is
 /// what makes them bit-identical under a common seed.
+///
+/// Branch-free: the redraw arm is always computed and the result is picked
+/// with [`std::hint::select_unpredictable`] (a `cmov`), because the keep
+/// test is random by construction — at `KeepProbability(0.7)` on Adult it
+/// goes the rare way on 15–28% of draws, and a branch would be
+/// mispredicted about that often.  The arithmetic is the same as the
+/// scalar [`RRMatrix::randomize`], which keeps its branch so that it pays
+/// for the redraw scale's u128 division only when it redraws.
 #[inline]
 #[deny(clippy::float_arithmetic)]
 fn sample_uniform_raw(threshold: u64, redraw_scale: u128, true_value: u32, raw: u64) -> u32 {
     let hi = raw >> (64 - DRAW_BITS);
-    if hi < threshold {
-        return true_value;
-    }
-    uniform_redraw(threshold, redraw_scale, true_value, hi)
+    let redrawn = uniform_redraw(threshold, redraw_scale, true_value, hi);
+    std::hint::select_unpredictable(hi < threshold, true_value, redrawn)
 }
 
 // lint:endregion(no_alloc)
@@ -624,9 +640,11 @@ impl RRMatrix {
         }
         match &self.form {
             Form::Uniform { diag, .. } => {
-                // Same arithmetic as the batched kernel, but the u128
-                // division behind the redraw scale only runs when the
-                // redraw branch is actually taken.
+                // Same arithmetic as the batched kernel, but with a
+                // branch instead of its select: the u128 division behind
+                // the redraw scale only runs when the redraw branch is
+                // actually taken, which saves more here than a
+                // misprediction costs.
                 let threshold = uniform_threshold(self.r, *diag);
                 let hi = rng.next_u64() >> (64 - DRAW_BITS);
                 Ok(if hi < threshold {

@@ -41,8 +41,11 @@ use std::any::Any;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Multiplier used to derive well-separated per-shard seeds from a base
-/// seed (the SplitMix64 golden-ratio increment).
+/// Stride between the per-shard seed *inputs* (the SplitMix64 golden-ratio
+/// increment).  It must not reach the generator unmixed: SplitMix64 also
+/// advances by this constant per state word, so seeds `base + k·G` would
+/// give shard `k + 1` three of shard `k`'s four xoshiro words.  Every
+/// shard seed therefore goes through [`mix64`] first (see [`shard_rng`]).
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Records per [`mdrr_protocols::Protocol::encode_batch`] call on the bulk
@@ -673,9 +676,22 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// The deterministic RNG of shard `k` for a given base seed.
+/// The deterministic RNG of shard `k` for a given base seed: the SplitMix64
+/// finalizer over `base + k·G`, so neighbouring shards start from
+/// unrelated xoshiro states while [`offset_base_seed`] still composes
+/// (shard `k` under `offset_base_seed(base, o)` is shard `o + k` under
+/// `base`).
 fn shard_rng(base_seed: u64, k: usize) -> StdRng {
-    StdRng::seed_from_u64(base_seed.wrapping_add((k as u64).wrapping_mul(SHARD_SEED_STRIDE)))
+    StdRng::seed_from_u64(mix64(offset_base_seed(base_seed, k)))
+}
+
+/// The SplitMix64 finalizer (Steele, Lea & Flood, "Fast splittable
+/// pseudorandom number generators", OOPSLA 2014): a bijection on `u64`
+/// that sends inputs a constant stride apart to unrelated outputs.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The base seed under which a collector's *local* shard `k` draws the
@@ -892,5 +908,94 @@ mod tests {
         assert!(c.ingest_report(5, &report).is_err());
         assert_eq!(c.shards()[0].n_reports(), 0);
         assert_eq!(c.shards()[1].n_reports(), 1);
+    }
+
+    /// The four xoshiro256++ state words of a generator, read from its
+    /// `Debug` form (`StdRng { s: [a, b, c, d] }`).
+    fn state_words(rng: &StdRng) -> [u64; 4] {
+        let text = format!("{rng:?}");
+        let (_, rest) = text.split_once('[').expect("a state array");
+        let (inner, _) = rest.split_once(']').expect("a closed state array");
+        let words: Vec<u64> = inner
+            .split(',')
+            .map(|w| w.trim().parse().unwrap())
+            .collect();
+        words.try_into().expect("four state words")
+    }
+
+    #[test]
+    fn no_two_shard_states_share_a_word() {
+        // Unmixed seeds `base + k·G` would give shard k + 1 three of shard
+        // k's four words, since SplitMix64 steps by G per word.
+        for base in [0, 7, 12_345, u64::MAX] {
+            let mut owner = std::collections::HashMap::new();
+            for k in 0..4_096 {
+                for word in state_words(&shard_rng(base, k)) {
+                    if let Some(other) = owner.insert(word, k) {
+                        panic!("base {base}: shards {other} and {k} share the word {word:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_streams_compose_across_offsets() {
+        for base in [0, 42, u64::MAX] {
+            for offset in [0, 1, 3, 1_000] {
+                for k in 0..8 {
+                    assert_eq!(
+                        shard_rng(offset_base_seed(base, offset), k),
+                        shard_rng(base, offset + k),
+                        "base {base}, offset {offset}, shard {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn neighbouring_shards_make_independent_keep_decisions() {
+        // Pair counts of (keep on shard k at draw i, keep on shard k + 1 at
+        // draw i + lag) against the product of their margins, χ² with one
+        // degree of freedom, Bonferroni-corrected to a family-wise 1e-3.
+        use rand::RngCore;
+        const DRAWS: usize = 100_000;
+        const PAIRS: usize = 4;
+        const LAGS: usize = 9;
+        let matrix = mdrr_core::RRMatrix::uniform_keep(0.7, 16).unwrap();
+        let kernel = matrix.prepared();
+        let keeps = |k: usize| -> Vec<usize> {
+            let mut rng = shard_rng(12_345, k);
+            (0..DRAWS)
+                .map(|_| usize::from(kernel.randomize_raw(0, rng.next_u64()) == 0))
+                .collect()
+        };
+        let critical =
+            mdrr_math::chi2::chi2_quantile(1.0 - 1e-3 / (PAIRS * LAGS) as f64, 1.0).unwrap();
+        let streams: Vec<Vec<usize>> = (0..=PAIRS).map(keeps).collect();
+        for k in 0..PAIRS {
+            for lag in 0..LAGS {
+                let mut table = [[0f64; 2]; 2];
+                for (&a, &b) in streams[k].iter().zip(&streams[k + 1][lag..]) {
+                    table[a][b] += 1.0;
+                }
+                let n: f64 = table.iter().flatten().sum();
+                let rows = [table[0][0] + table[0][1], table[1][0] + table[1][1]];
+                let cols = [table[0][0] + table[1][0], table[0][1] + table[1][1]];
+                let chi2: f64 = (0..2)
+                    .flat_map(|a| (0..2).map(move |b| (a, b)))
+                    .map(|(a, b)| {
+                        let expected = rows[a] * cols[b] / n;
+                        (table[a][b] - expected).powi(2) / expected
+                    })
+                    .sum();
+                assert!(
+                    chi2 < critical,
+                    "shards {k}/{}, lag {lag}: χ² = {chi2:.2} ≥ {critical:.2}",
+                    k + 1
+                );
+            }
+        }
     }
 }

@@ -67,24 +67,44 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
-/// The three estimating protocols configured for a schema, all behind
-/// `dyn Protocol` (clusters: first two attributes together, the rest one
-/// cluster).
-fn protocols(schema: &Schema) -> Vec<Arc<dyn Protocol>> {
+/// The keep level of the properties that are not about the kernel.
+const KEEP_0_6: RandomizationLevel = RandomizationLevel::KeepProbability(0.6);
+
+/// Randomization levels over the whole range the keep/redraw kernel can
+/// see: keep probabilities 0.01 and 0.99 at the extremes, one drawn from
+/// (0.01, 0.99), and one drawn per-attribute ε (whose diagonal depends on
+/// each attribute's domain size).
+fn levels_strategy() -> impl Strategy<Value = [RandomizationLevel; 4]> {
+    (0.01f64..0.99, 0.05f64..8.0).prop_map(|(p, epsilon)| {
+        [
+            RandomizationLevel::KeepProbability(0.01),
+            RandomizationLevel::KeepProbability(0.99),
+            RandomizationLevel::KeepProbability(p),
+            RandomizationLevel::EpsilonPerAttribute(epsilon),
+        ]
+    })
+}
+
+/// The three estimating protocols configured for a schema at `level`, all
+/// behind `dyn Protocol` (clusters: first two attributes together, the
+/// rest one cluster).  Keep levels apply the keep mechanism directly over
+/// each joint domain; ε levels go through the equivalent-risk
+/// construction, the only one RR-Clusters accepts for them.
+fn protocols(schema: &Schema, level: &RandomizationLevel) -> Vec<Arc<dyn Protocol>> {
     let m = schema.len();
     let clustering = Clustering::new(vec![vec![0, 1], (2..m).collect()], m).unwrap();
-    let level = RandomizationLevel::KeepProbability(0.6);
+    let equivalent_risk = !matches!(level, RandomizationLevel::KeepProbability(_));
     [
         ProtocolSpec::independent(level.clone()),
         ProtocolSpec::Joint {
             level: level.clone(),
             max_domain: None,
-            equivalent_risk: false,
+            equivalent_risk,
         },
         ProtocolSpec::Clusters {
-            level,
+            level: level.clone(),
             clustering,
-            equivalent_risk: false,
+            equivalent_risk,
         },
     ]
     .iter()
@@ -95,13 +115,11 @@ fn protocols(schema: &Schema) -> Vec<Arc<dyn Protocol>> {
 /// All four `ProtocolSpec` shapes (the three above plus RR-Adjustment
 /// stacked on RR-Independent) — the client-side encoders the batch path
 /// must be bit-identical to.
-fn all_four_protocols(schema: &Schema) -> Vec<Arc<dyn Protocol>> {
-    let mut all = protocols(schema);
+fn all_four_protocols(schema: &Schema, level: &RandomizationLevel) -> Vec<Arc<dyn Protocol>> {
+    let mut all = protocols(schema, level);
     all.push(
         ProtocolSpec::Adjusted {
-            base: Box::new(ProtocolSpec::independent(
-                RandomizationLevel::KeepProbability(0.6),
-            )),
+            base: Box::new(ProtocolSpec::independent(level.clone())),
             config: AdjustmentConfig::default(),
         }
         .build_arc(schema)
@@ -151,7 +169,7 @@ proptest! {
                                                  route_mult in 1u64..1000,
                                                  rotation in 0usize..6,
                                                  seed in any::<u64>()) {
-        for protocol in protocols(ds.schema()) {
+        for protocol in protocols(ds.schema(), &KEEP_0_6) {
             // Client side: one report per record, one shared RNG so the
             // randomized codes are fixed once and reused on both paths.
             let mut rng = StdRng::seed_from_u64(seed);
@@ -202,7 +220,7 @@ proptest! {
                                                         n_shards in 1usize..6,
                                                         seed in any::<u64>()) {
         let records: Vec<Vec<u32>> = all_records(&ds);
-        let protocol = protocols(ds.schema()).remove(0);
+        let protocol = protocols(ds.schema(), &KEEP_0_6).remove(0);
         let mut collector = ShardedCollector::new(protocol, n_shards).unwrap();
         let ingested = collector.ingest_records(&records, seed).unwrap();
         prop_assert_eq!(ingested, records.len() as u64);
@@ -214,16 +232,18 @@ proptest! {
     }
 
     /// The load-bearing claim of the batch pipeline: for all four
-    /// `ProtocolSpec`s, under one shared seed and *arbitrary* chunk
-    /// splits, `encode_batch` + `ingest_batch` and the fused
-    /// `encode_tally` produce byte-identical accumulator counts (and
+    /// `ProtocolSpec`s at keep levels across (0, 1) and at ε levels, under
+    /// one shared seed and *arbitrary* chunk splits, `encode_batch` +
+    /// `ingest_batch` and the fused `encode_tally` produce byte-identical
+    /// accumulator counts (and
     /// byte-identical codes) to encoding every record one at a time with
     /// `Report::encode` and ingesting report by report.
     #[test]
     fn batch_paths_are_bit_identical_to_the_per_record_path(ds in dataset_strategy(),
                                                             chunk_size in 1usize..64,
-                                                            seed in any::<u64>()) {
-        for protocol in all_four_protocols(ds.schema()) {
+                                                            seed in any::<u64>(),
+                                                            levels in levels_strategy()) {
+        for protocol in levels.iter().flat_map(|level| all_four_protocols(ds.schema(), level)) {
             let sizes = protocol.channel_sizes();
 
             // Scalar reference: one report at a time, one shared RNG.
@@ -269,14 +289,15 @@ proptest! {
 
     /// The sharded bulk paths — row-major and columnar view — are
     /// byte-identical to the scalar reference ingestion for any shard
-    /// count and seed (same chunk → shard assignment, same shard → RNG
-    /// mapping, same draws).
+    /// count, seed and randomization level (same chunk → shard assignment,
+    /// same shard → RNG mapping, same draws).
     #[test]
     fn sharded_batch_ingestion_is_bit_identical(ds in dataset_strategy(),
                                                 n_shards in 1usize..6,
-                                                seed in any::<u64>()) {
+                                                seed in any::<u64>(),
+                                                levels in levels_strategy()) {
         let records: Vec<Vec<u32>> = all_records(&ds);
-        for protocol in all_four_protocols(ds.schema()) {
+        for protocol in levels.iter().flat_map(|level| all_four_protocols(ds.schema(), level)) {
             let mut scalar = ShardedCollector::new(Arc::clone(&protocol), n_shards).unwrap();
             scalar.ingest_records_per_record(&records, seed).unwrap();
 
